@@ -106,22 +106,6 @@ class Vocabulary:
 class Treebank:
     def __init__(self, sentences: list[Sentence]):
         self.sentences = sentences
-        labels = set()
-        pos = set()
-        pairs = set()
-        freq: Counter = Counter()
-        for sent in sentences:
-            for tok in sent.tokens:
-                if tok.gold_label is not None:
-                    labels.add(tok.gold_label)
-                pos.add(tok.gold_pos)
-                if tok.gold_label is not None:
-                    pairs.add((tok.gold_label, tok.gold_pos))
-                freq[tok.form.lower()] += 1
-        self.label_set = sorted(labels)
-        self.pos_set = sorted(pos)
-        self.seen_label_pos_pairs = pairs
-        self.word_frequency = dict(freq)
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -206,18 +190,25 @@ def read_conll(path: str, fmt: str = "conllu", strict: bool = True,
     sentences: list[Sentence] = []
     block: list[tuple[int, str]] = []
     comments: list[str] = []
-    with io.open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                if block:
-                    sentences.append(_parse_block(block, comments, fmt, path, strict, punct))
-                    block, comments = [], []
-                continue
-            if line.startswith("#"):
-                comments.append(line)
-                continue
-            block.append((lineno, line))
+    with io.open(path, "rb") as f:
+        raw_bytes = f.read()
+    try:
+        text = raw_bytes.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw_bytes.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
+    # newline=None splits lines exactly as reading the file in text mode would
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line:
+            if block:
+                sentences.append(_parse_block(block, comments, fmt, path, strict, punct))
+                block, comments = [], []
+            continue
+        if line.startswith("#"):
+            comments.append(line)
+            continue
+        block.append((lineno, line))
     if block:
         sentences.append(_parse_block(block, comments, fmt, path, strict, punct))
     return Treebank(sentences)
@@ -282,6 +273,7 @@ def build_vocabularies(tb: Treebank, min_count: int = 1):
     word_counts = Counter()
     pos_tags = set()
     labels = set()
+    pairs = set()
     for sent in tb.sentences:
         for tok in sent.tokens:
             word_counts[tok.form.lower()] += 1
@@ -290,9 +282,9 @@ def build_vocabularies(tb: Treebank, min_count: int = 1):
                 pos_tags.add(tok.predicted_pos)
             if tok.gold_label is not None:
                 labels.add(tok.gold_label)
+                pairs.add((tok.gold_label, tok.gold_pos))
     word_vocab = Vocabulary(sorted(word_counts), counts=dict(word_counts),
                             min_count=min_count, unknown=UNKNOWN)
     pos_vocab = Vocabulary(sorted(pos_tags), unknown=UNKNOWN)
     label_vocab = Vocabulary(sorted(labels), unknown=None)
-    seen_pairs = sorted(tb.seen_label_pos_pairs)
-    return word_vocab, pos_vocab, label_vocab, seen_pairs
+    return word_vocab, pos_vocab, label_vocab, sorted(pairs)

@@ -56,8 +56,7 @@ class ScoreMatrix:
         return self.root_sim.shape[0]
 
 
-def _normalized_rows(rows: list[np.ndarray]) -> np.ndarray:
-    m = np.stack(rows)
+def _normalized_rows(m: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     safe = np.where(norms < 1e-12, 1.0, norms)
     out = m / safe
@@ -69,8 +68,8 @@ def build_scores(enc: EncodedSentence, root_vector) -> ScoreMatrix:
     """All pairwise latent-head/context similarities plus root similarities."""
     if len(enc) < 1:
         raise InvalidInputError("cannot score an empty sentence")
-    h = _normalized_rows([t.data for t in enc.latent_heads])
-    c = _normalized_rows([t.data for t in enc.context_vectors])
+    h = _normalized_rows(enc.latent_heads.data)
+    c = _normalized_rows(enc.context_vectors.data)
     root = root_vector.data if isinstance(root_vector, nn.Tensor) else np.asarray(root_vector)
     root_norm = np.linalg.norm(root)
     root_unit = root / root_norm if root_norm >= 1e-12 else np.zeros_like(root)
@@ -202,21 +201,21 @@ def assign_labels_pos(model: LhrModel, enc: EncodedSentence, tree: DependencyTre
         pair_p = np.array([model.pos_vocab.index_of(p) for _, p in seen_pairs], dtype=int)
     if len(seen_pairs) == 0:
         raise ConfigurationError("no (label, POS) pairs to choose from")
+    with nn.no_grad():
+        context = enc.context_vectors
+        label_scores, pos_scores = model.score_label_pos(
+            context, model.governor_vectors(context, tree.heads))
+    combined = label_scores.data[:, pair_l] + pos_scores.data[:, pair_p]
     labels: list[str | None] = []
     pos_tags: list[str | None] = []
-    with nn.no_grad():
-        for i, h in enumerate(tree.heads):
-            governor = model.root_vector if h == 0 else enc.context_vectors[h - 1]
-            label_scores, pos_scores = model.score_label_pos(enc.context_vectors[i], governor)
-            combined = label_scores.data[pair_l] + pos_scores.data[pair_p]
-            best = int(np.argmax(combined))
-            label, pos = seen_pairs[best]
-            labels.append(label)
-            if pos_correction:
-                pos_tags.append(pos)
-            else:
-                external = sentence.tokens[i].predicted_pos if sentence is not None else None
-                pos_tags.append(external if external is not None else pos)
+    for i, best in enumerate(np.argmax(combined, axis=1)):
+        label, pos = seen_pairs[best]
+        labels.append(label)
+        if pos_correction:
+            pos_tags.append(pos)
+        else:
+            external = sentence.tokens[i].predicted_pos if sentence is not None else None
+            pos_tags.append(external if external is not None else pos)
     return DependencyTree(heads=list(tree.heads), labels=labels, pos=pos_tags,
                           arc_scores=list(tree.arc_scores),
                           needed_repair=tree.needed_repair)

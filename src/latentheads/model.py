@@ -41,9 +41,11 @@ class ModelConfig:
 
 @dataclass
 class EncodedSentence:
-    embeddings: list[nn.Tensor]
-    context_vectors: list[nn.Tensor]
-    latent_heads: list[nn.Tensor]
+    """One sentence's matrices, one row per token."""
+
+    embeddings: nn.Tensor        # (n, token encoder output size)
+    context_vectors: nn.Tensor   # (n, |c|)
+    latent_heads: nn.Tensor      # (n, |c|)
 
     def __len__(self) -> int:
         return len(self.context_vectors)
@@ -60,6 +62,7 @@ class LabelerHead:
         self.pos_output = nn.DenseLayer(hidden, n_pos, out_act, rng)
 
     def score(self, dependent_c: nn.Tensor, governor_c: nn.Tensor) -> tuple[nn.Tensor, nn.Tensor]:
+        """Label and POS scores for one arc (vectors) or one arc per row (matrices)."""
         hidden = self.shared_hidden(nn.concat((dependent_c, governor_c)))
         return self.label_output(hidden), self.pos_output(hidden)
 
@@ -115,22 +118,24 @@ class LhrModel:
             raise InvalidInputError("cannot encode an empty sentence")
         embeddings = self.token_encoder.encode(sentence, training, rng)
         context_vectors = self.context_encoder.encode(embeddings)
-        raw = self.heads_encoder.encode(context_vectors)
-        latent_heads = [self.head_reducer(r) for r in raw]
+        latent_heads = self.head_reducer(self.heads_encoder.encode(context_vectors))
         return EncodedSentence(embeddings, context_vectors, latent_heads)
+
+    def governor_vectors(self, context_vectors: nn.Tensor, heads) -> nn.Tensor:
+        """Row i: the context vector of head heads[i] (1-based), the root vector for 0."""
+        return nn.stack_rows((self.root_vector, context_vectors))[np.asarray(heads, dtype=np.intp)]
 
     def score_label_pos(self, dependent_c: nn.Tensor,
                         governor_c_or_root: nn.Tensor) -> tuple[nn.Tensor, nn.Tensor]:
-        size = (self.context_size,)
-        if dependent_c.data.shape != size or governor_c_or_root.data.shape != size:
+        if dependent_c.data.shape[-1:] != (self.context_size,) or \
+                governor_c_or_root.data.shape != dependent_c.data.shape:
             raise ConfigurationError(
-                f"labeler inputs must have length {self.context_size}")
+                f"labeler inputs must have rows of length {self.context_size}")
         return self.labeler.score(dependent_c, governor_c_or_root)
 
-    def latent_structure(self, enc: EncodedSentence) -> list[np.ndarray]:
-        """Per-token concatenation [c_i; h_i] for downstream consumers."""
-        return [np.concatenate((c.data, h.data))
-                for c, h in zip(enc.context_vectors, enc.latent_heads)]
+    def latent_structure(self, enc: EncodedSentence) -> np.ndarray:
+        """Row i is [c_i; h_i], for downstream consumers."""
+        return np.hstack((enc.context_vectors.data, enc.latent_heads.data))
 
     def named_parameters(self) -> list[tuple[str, nn.Parameter]]:
         params = list(self.token_encoder.named_parameters("token_encoder."))

@@ -1,10 +1,12 @@
-"""Minimal trainable neural toolkit: tape-based autodiff over numpy vectors.
+"""Minimal trainable neural toolkit: tape-based autodiff over sentence matrices.
 
-Everything is float64 and unbatched: the unit of work is a single vector or a
-matrix-vector product. Each operation returns a `Tensor` wired to its inputs,
-so one `backward()` call on a scalar loss accumulates gradients into every
-reachable `Parameter`. Inference code should run under `no_grad()` to skip
-tape construction entirely.
+Everything is float64. The unit of work is one sentence as an (n, d) matrix,
+one row per token; layers and losses take the whole matrix at once. Each
+operation returns a `Tensor` wired to its inputs, so one `backward()` call on
+a scalar loss accumulates gradients into every reachable `Parameter`. A
+bidirectional LSTM is a single tape node per sequence whose backward is
+hand-written backpropagation through time. Inference code should run under
+`no_grad()` to skip tape construction entirely.
 """
 
 from __future__ import annotations
@@ -62,16 +64,23 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
+    def __len__(self) -> int:
+        return len(self.data)
 
-    def item(self) -> float:
-        return float(self.data)
+    def __getitem__(self, key) -> "Tensor":
+        """numpy indexing (rows, slices, index arrays) recorded on the tape."""
+        out_data = self.data[key]
+        if not (_grad_enabled and self.needs_grad):
+            return Tensor(out_data)
+        out = Tensor(out_data, (self,), None, True)
 
-    def detach(self) -> "Tensor":
-        """A view of the same values with no tape behind it."""
-        return Tensor(self.data)
+        def bw():
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            np.add.at(self.grad, key, out.grad)
+
+        out._bw = bw
+        return out
 
     def backward(self, retain: bool = False) -> None:
         """Propagate d(self)/d(param) into every reachable Parameter's grad.
@@ -122,13 +131,17 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable tensor carrying its gradient and Adam accumulators."""
+    """Trainable tensor carrying its gradient and Adam accumulators.
+
+    `grad` may be handed in as a view into a larger gradient array, so that
+    a fused layer can accumulate into several parameters with one product.
+    """
 
     __slots__ = ("adam_m", "adam_v", "step_count")
 
-    def __init__(self, data):
+    def __init__(self, data, grad: np.ndarray | None = None):
         super().__init__(data, needs_grad=True)
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros_like(self.data) if grad is None else grad
         self.adam_m = np.zeros_like(self.data)
         self.adam_v = np.zeros_like(self.data)
         self.step_count = 0
@@ -144,10 +157,6 @@ def _acc(t: Tensor, g: np.ndarray, own: bool = False) -> None:
 
 def constant(data) -> Tensor:
     return Tensor(data)
-
-
-def zeros(n: int) -> Tensor:
-    return Tensor(np.zeros(n))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -169,60 +178,65 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ConfigurationError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-    out_data = a.data * b.data
-    if not (_grad_enabled and (a.needs_grad or b.needs_grad)):
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w.T + b for x of shape (in,) or (n, in) and w of shape (out, in)."""
+    out_data = x.data @ w.data.T + b.data
+    if not (_grad_enabled and (x.needs_grad or w.needs_grad or b.needs_grad)):
         return Tensor(out_data)
-    out = Tensor(out_data, (a, b), None, True)
+    out = Tensor(out_data, (x, w, b), None, True)
 
     def bw():
         g = out.grad
-        if a.needs_grad:
-            _acc(a, g * b.data, own=True)
-        if b.needs_grad:
-            _acc(b, g * a.data, own=True)
-
-    out._bw = bw
-    return out
-
-
-def matvec(w: Tensor, x: Tensor) -> Tensor:
-    """Matrix (m, n) times vector (n,) -> vector (m,)."""
-    if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
-        raise ConfigurationError(f"matvec: incompatible shapes {w.shape} @ {x.shape}")
-    out_data = w.data @ x.data
-    if not (_grad_enabled and (w.needs_grad or x.needs_grad)):
-        return Tensor(out_data)
-    out = Tensor(out_data, (w, x), None, True)
-
-    def bw():
-        g = out.grad
+        rows = g.reshape(-1, g.shape[-1])
         if w.needs_grad:
-            _acc(w, np.outer(g, x.data), own=True)
+            _acc(w, rows.T @ x.data.reshape(rows.shape[0], -1), own=True)
+        if b.needs_grad:
+            _acc(b, rows.sum(axis=0), own=True)
         if x.needs_grad:
-            _acc(x, w.data.T @ g, own=True)
+            _acc(x, g @ w.data, own=True)
 
     out._bw = bw
     return out
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join along the last axis: vectors end to end, matrices side by side."""
     if not parts:
         raise InvalidInputError("concat of an empty sequence")
-    out_data = np.concatenate([p.data for p in parts])
+    out_data = np.concatenate([p.data for p in parts], axis=-1)
     if not (_grad_enabled and any(p.needs_grad for p in parts)):
         return Tensor(out_data)
-    sizes = [p.data.shape[0] for p in parts]
     out = Tensor(out_data, tuple(parts), None, True)
 
     def bw():
         g = out.grad
         off = 0
-        for p, n in zip(parts, sizes):
+        for p in parts:
+            n = p.data.shape[-1]
             if p.needs_grad:
-                _acc(p, g[off:off + n])
+                _acc(p, g[..., off:off + n])
+            off += n
+
+    out._bw = bw
+    return out
+
+
+def stack_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Stack matrices on top of each other; a vector counts as one row."""
+    if not parts:
+        raise InvalidInputError("stack_rows of an empty sequence")
+    out_data = np.vstack([p.data for p in parts])
+    if not (_grad_enabled and any(p.needs_grad for p in parts)):
+        return Tensor(out_data)
+    out = Tensor(out_data, tuple(parts), None, True)
+
+    def bw():
+        g = out.grad
+        off = 0
+        for p in parts:
+            n = 1 if p.data.ndim == 1 else p.data.shape[0]
+            if p.needs_grad:
+                _acc(p, g[off:off + n].reshape(p.data.shape))
             off += n
 
     out._bw = bw
@@ -242,71 +256,18 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    s = expit(x.data)
-    if not (_grad_enabled and x.needs_grad):
-        return Tensor(s)
-    out = Tensor(s, (x,), None, True)
-
-    def bw():
-        _acc(x, out.grad * s * (1.0 - s), own=True)
-
-    out._bw = bw
-    return out
-
-
 def softmax(x: Tensor) -> Tensor:
-    shifted = x.data - x.data.max()
+    """Softmax over the last axis (each row of a matrix separately)."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum()
+    p = e / e.sum(axis=-1, keepdims=True)
     if not (_grad_enabled and x.needs_grad):
         return Tensor(p)
     out = Tensor(p, (x,), None, True)
 
     def bw():
         g = out.grad
-        _acc(x, p * (g - np.dot(g, p)), own=True)
-
-    out._bw = bw
-    return out
-
-
-def row(table: Tensor, index: int) -> Tensor:
-    """Select one row of a 2-D tensor (embedding lookup)."""
-    if table.data.ndim != 2:
-        raise ConfigurationError("row: expected a 2-D table")
-    if not 0 <= index < table.data.shape[0]:
-        raise InvalidInputError(f"row index {index} out of range")
-    out_data = table.data[index].copy()
-    if not (_grad_enabled and table.needs_grad):
-        return Tensor(out_data)
-    out = Tensor(out_data, (table,), None, True)
-
-    def bw():
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        table.grad[index] += out.grad
-
-    out._bw = bw
-    return out
-
-
-def mean_of(terms: Sequence[Tensor]) -> Tensor:
-    """Mean of scalar terms; each receives gradient 1/n."""
-    if not terms:
-        raise InvalidInputError("mean_of an empty sequence")
-    vals = [float(t.data) for t in terms]
-    out_data = np.asarray(math.fsum(vals) / len(vals))
-    tracked = tuple(t for t in terms if t.needs_grad)
-    if not (_grad_enabled and tracked):
-        return Tensor(out_data)
-    out = Tensor(out_data, tracked, None, True)
-    inv = 1.0 / len(terms)
-
-    def bw():
-        g = out.grad * inv
-        for t in tracked:
-            _acc(t, g)
+        _acc(x, p * (g - (g * p).sum(axis=-1, keepdims=True)), own=True)
 
     out._bw = bw
     return out
@@ -329,135 +290,111 @@ def _target_data(target) -> np.ndarray:
     return target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
 
 
+def _mean_distance(pred: Tensor, target, name: str, total, slope) -> Tensor:
+    tdata = _target_data(target)
+    if pred.data.shape != tdata.shape:
+        raise InvalidInputError(f"{name}: length mismatch {pred.shape} vs {tdata.shape}")
+    d = pred.data - tdata
+    n = d.size
+    out_data = np.asarray(total(d) / n)
+    target_tracked = isinstance(target, Tensor) and target.needs_grad
+    if not (_grad_enabled and (pred.needs_grad or target_tracked)):
+        return Tensor(out_data)
+    parents = (pred, target) if target_tracked else (pred,)
+    out = Tensor(out_data, parents, None, True)
+
+    def bw():
+        g = slope(d) * (out.grad / n)
+        if pred.needs_grad:
+            _acc(pred, g, own=True)
+        if target_tracked:
+            _acc(target, -g, own=True)
+
+    out._bw = bw
+    return out
+
+
 def mse_loss(pred: Tensor, target) -> Tensor:
     """Mean squared componentwise difference.
 
     `target` may be a plain array or a detached tensor, in which case it is a
     constant; a live tensor target also receives gradient.
     """
-    tdata = _target_data(target)
-    if pred.data.shape != tdata.shape:
-        raise InvalidInputError(f"mse_loss: length mismatch {pred.shape} vs {tdata.shape}")
-    d = pred.data - tdata
-    n = d.size
-    out_data = np.asarray(np.vdot(d, d) / n)
-    target_tracked = isinstance(target, Tensor) and target.needs_grad
-    if not (_grad_enabled and (pred.needs_grad or target_tracked)):
-        return Tensor(out_data)
-    parents = (pred, target) if target_tracked else (pred,)
-    out = Tensor(out_data, parents, None, True)
-
-    def bw():
-        c = out.grad * (2.0 / n)
-        if pred.needs_grad:
-            _acc(pred, c * d, own=True)
-        if target_tracked:
-            _acc(target, -c * d, own=True)
-
-    out._bw = bw
-    return out
+    return _mean_distance(pred, target, "mse_loss", lambda d: np.vdot(d, d), lambda d: 2.0 * d)
 
 
 def mae_loss(pred: Tensor, target) -> Tensor:
     """Mean absolute componentwise difference (subgradient 0 at ties)."""
-    tdata = _target_data(target)
-    if pred.data.shape != tdata.shape:
-        raise InvalidInputError(f"mae_loss: length mismatch {pred.shape} vs {tdata.shape}")
-    d = pred.data - tdata
-    n = d.size
-    out_data = np.asarray(np.abs(d).sum() / n)
-    target_tracked = isinstance(target, Tensor) and target.needs_grad
-    if not (_grad_enabled and (pred.needs_grad or target_tracked)):
-        return Tensor(out_data)
-    parents = (pred, target) if target_tracked else (pred,)
-    out = Tensor(out_data, parents, None, True)
-
-    def bw():
-        c = out.grad * (1.0 / n)
-        s = np.sign(d)
-        if pred.needs_grad:
-            _acc(pred, c * s, own=True)
-        if target_tracked:
-            _acc(target, -c * s, own=True)
-
-    out._bw = bw
-    return out
+    return _mean_distance(pred, target, "mae_loss", lambda d: np.abs(d).sum(), np.sign)
 
 
-def margin_loss(scores: Tensor, gold_index: int) -> Tensor:
-    """Hinge loss: max(0, 1 - score[gold] + best competitor score).
+def _gold_rows(t: Tensor, gold, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Scores as an (n, k) matrix and the gold column of each row."""
+    if t.data.ndim not in (1, 2):
+        raise InvalidInputError(f"{what} expects a score vector or matrix")
+    m = t.data.reshape(-1, t.data.shape[-1])
+    gold = np.asarray(gold, dtype=np.intp).reshape(-1)
+    if gold.shape != (m.shape[0],):
+        raise InvalidInputError(f"{what}: {gold.shape[0]} gold indices for {m.shape[0]} rows")
+    if np.any((gold < 0) | (gold >= m.shape[1])):
+        raise InvalidInputError(f"gold index out of range for {m.shape[1]} classes")
+    return m, gold
 
-    Zero (with zero gradient) once the gold score leads by at least 1. With a
-    single class there is no competitor and the loss is 0.
+
+def margin_loss(scores: Tensor, gold) -> Tensor:
+    """Hinge loss max(0, 1 - score[gold] + best competitor score), row mean.
+
+    `scores` is a score vector with one gold index, or an (n, k) matrix with
+    one gold index per row. A row is zero (with zero gradient) once its gold
+    score leads by at least 1. With a single class there is no competitor
+    and the loss is 0.
     """
-    s = scores.data
-    if s.ndim != 1:
-        raise InvalidInputError("margin_loss expects a score vector")
-    if not 0 <= gold_index < s.shape[0]:
-        raise InvalidInputError(f"gold index {gold_index} out of range for {s.shape[0]} scores")
-    if s.shape[0] == 1:
-        return Tensor(0.0)
+    s, gold = _gold_rows(scores, gold, "margin_loss")
+    n, k = s.shape
+    rows = np.arange(n)
     masked = s.copy()
-    masked[gold_index] = -np.inf
-    best_other = int(np.argmax(masked))
-    value = 1.0 - s[gold_index] + s[best_other]
-    if value <= 0.0:
-        return Tensor(0.0)
+    masked[rows, gold] = -np.inf
+    best_other = np.argmax(masked, axis=1)
+    margins = 1.0 - s[rows, gold] + s[rows, best_other]
+    active = (margins > 0.0) & (k > 1)
+    value = np.asarray(margins[active].sum() / n)
     if not (_grad_enabled and scores.needs_grad):
         return Tensor(value)
-    out = Tensor(np.asarray(value), (scores,), None, True)
+    out = Tensor(value, (scores,), None, True)
 
     def bw():
-        g = out.grad
-        vec = np.zeros_like(s)
-        vec[gold_index] = -g
-        vec[best_other] = g
-        _acc(scores, vec, own=True)
+        c = out.grad / n
+        g = np.zeros_like(s)
+        g[rows[active], gold[active]] = -c
+        g[rows[active], best_other[active]] = c
+        _acc(scores, g.reshape(scores.data.shape), own=True)
 
     out._bw = bw
     return out
 
 
-def nll_loss(probs: Tensor, gold_index: int) -> Tensor:
-    """Negative log of the gold probability (pair with a softmax output)."""
-    p = probs.data
-    if p.ndim != 1:
-        raise InvalidInputError("nll_loss expects a probability vector")
-    if not 0 <= gold_index < p.shape[0]:
-        raise InvalidInputError(f"gold index {gold_index} out of range for {p.shape[0]} classes")
-    pg = max(float(p[gold_index]), 1e-30)
-    out_data = np.asarray(-math.log(pg))
-    if not (_grad_enabled and probs.needs_grad):
-        return Tensor(out_data)
-    out = Tensor(out_data, (probs,), None, True)
+def nll_loss(probs: Tensor, gold) -> Tensor:
+    """Negative log of the gold probability, row mean (pair with a softmax).
 
-    def bw():
-        vec = np.zeros_like(p)
-        vec[gold_index] = -float(out.grad) / pg
-        _acc(probs, vec, own=True)
-
-    out._bw = bw
-    return out
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1].
-
-    Returns 0.0 when either vector has (near-)zero norm, so early-training
-    diagnostics never see NaN.
+    `probs` is one distribution with one gold index, or an (n, k) matrix with
+    one gold index per row.
     """
-    av = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
-    bv = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape:
-        raise InvalidInputError(f"cosine_similarity: length mismatch {av.shape} vs {bv.shape}")
-    na2 = float(np.vdot(av, av))
-    nb2 = float(np.vdot(bv, bv))
-    if na2 < 1e-24 or nb2 < 1e-24:
-        return 0.0
-    if av is bv or np.array_equal(av, bv):
-        return 1.0
-    # sqrt of the product, not product of sqrts: one rounding instead of two
-    return float(np.clip(np.dot(av, bv) / math.sqrt(na2 * nb2), -1.0, 1.0))
+    p, gold = _gold_rows(probs, gold, "nll_loss")
+    n = p.shape[0]
+    rows = np.arange(n)
+    pg = np.maximum(p[rows, gold], 1e-30)
+    value = np.asarray(-np.log(pg).sum() / n)
+    if not (_grad_enabled and probs.needs_grad):
+        return Tensor(value)
+    out = Tensor(value, (probs,), None, True)
+
+    def bw():
+        g = np.zeros_like(p)
+        g[rows, gold] = -out.grad / (n * pg)
+        _acc(probs, g.reshape(probs.data.shape), own=True)
+
+    out._bw = bw
+    return out
 
 
 def glorot_uniform(rng: np.random.Generator, out_size: int, in_size: int) -> np.ndarray:
@@ -469,7 +406,7 @@ _ACTIVATIONS = ("tanh", "softmax", "identity")
 
 
 class DenseLayer:
-    """Fully connected layer: activation(W x + b)."""
+    """Fully connected layer: activation(W x + b) for a vector or each matrix row."""
 
     def __init__(self, in_size: int, out_size: int, activation: str = "identity",
                  rng: np.random.Generator | None = None):
@@ -486,10 +423,10 @@ class DenseLayer:
         self.bias = Parameter(np.zeros(out_size))
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.data.shape != (self.in_size,):
+        if x.data.shape[-1:] != (self.in_size,):
             raise ConfigurationError(
-                f"DenseLayer expects input of length {self.in_size}, got {x.shape}")
-        z = add(matvec(self.weights, x), self.bias)
+                f"DenseLayer expects rows of length {self.in_size}, got {x.shape}")
+        z = linear(x, self.weights, self.bias)
         if self.activation == "tanh":
             return tanh(z)
         if self.activation == "softmax":
@@ -504,10 +441,13 @@ class DenseLayer:
 
 
 class LstmCell:
-    """Standard LSTM cell; each gate is one affine map over [x; h_prev].
+    """One LSTM direction with its four gates stacked as one [4H, X+H] map.
 
-    Forget-gate bias starts at 1.0 so early training does not wipe the cell
-    state.
+    Row blocks of `weight` and `bias` are the gates in GATES order, each an
+    affine map over [x; h_prev]. Every gate's weight and bias is also a
+    Parameter whose data and grad are views of its block, so Adam and the
+    checkpoint see one named array per gate. Forget-gate bias starts at 1.0
+    so early training does not wipe the cell state.
     """
 
     GATES = ("input", "forget", "output", "candidate")
@@ -520,35 +460,75 @@ class LstmCell:
             rng = np.random.default_rng()
         self.input_size = input_size
         self.hidden_size = hidden_size
-        z = input_size + hidden_size
+        h, z = hidden_size, input_size + hidden_size
+        self.weight = np.empty((4 * h, z))
+        self.bias = np.zeros(4 * h)
+        self.weight_grad = np.zeros_like(self.weight)
+        self.bias_grad = np.zeros_like(self.bias)
+        for k, gate in enumerate(self.GATES):
+            block = slice(k * h, (k + 1) * h)
+            # one Glorot draw per gate, in GATES order, as separate gate
+            # matrices would draw them: seeded checkpoints keep their bytes
+            self.weight[block] = glorot_uniform(rng, h, z)
+            setattr(self, f"w_{gate}", Parameter(self.weight[block], self.weight_grad[block]))
+            setattr(self, f"b_{gate}", Parameter(self.bias[block], self.bias_grad[block]))
+        self.b_forget.data[...] = 1.0
 
-        def gate(bias_init: float):
-            w = Parameter(glorot_uniform(rng, hidden_size, z))
-            b = Parameter(np.full(hidden_size, bias_init))
-            return w, b
+    def run(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Hidden states for the rows of x (n, X), plus what `backprop` needs."""
+        h_size, n = self.hidden_size, x.shape[0]
+        w_h = self.weight[:, self.input_size:]
+        # all input projections in one product; row t becomes step t's gates
+        gates = x @ self.weight[:, :self.input_size].T + self.bias
+        hs = np.empty((n, h_size))
+        cs = np.empty((n, h_size))
+        h = np.zeros(h_size)
+        c = np.zeros(h_size)
+        sig = slice(0, 3 * h_size)
+        for t in range(n):
+            z = gates[t]
+            z += w_h @ h
+            expit(z[sig], out=z[sig])
+            np.tanh(z[3 * h_size:], out=z[3 * h_size:])
+            c = z[h_size:2 * h_size] * c + z[:h_size] * z[3 * h_size:]
+            h = z[2 * h_size:3 * h_size] * np.tanh(c)
+            hs[t] = h
+            cs[t] = c
+        return hs, (x, gates, cs, hs)
 
-        self.w_input, self.b_input = gate(0.0)
-        self.w_forget, self.b_forget = gate(1.0)
-        self.w_output, self.b_output = gate(0.0)
-        self.w_candidate, self.b_candidate = gate(0.0)
+    def backprop(self, cache: tuple, d_hs: np.ndarray, need_dx: bool) -> np.ndarray | None:
+        """Backpropagation through time for one `run`.
 
-    def initial_state(self) -> tuple[Tensor, Tensor]:
-        return zeros(self.hidden_size), zeros(self.hidden_size)
-
-    def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        if x.data.shape != (self.input_size,):
-            raise ConfigurationError(
-                f"LstmCell expects input of length {self.input_size}, got {x.shape}")
-        if h_prev.data.shape != (self.hidden_size,) or c_prev.data.shape != (self.hidden_size,):
-            raise ConfigurationError("LstmCell state size mismatch")
-        xh = concat((x, h_prev))
-        i = sigmoid(add(matvec(self.w_input, xh), self.b_input))
-        f = sigmoid(add(matvec(self.w_forget, xh), self.b_forget))
-        o = sigmoid(add(matvec(self.w_output, xh), self.b_output))
-        cand = tanh(add(matvec(self.w_candidate, xh), self.b_candidate))
-        c = add(mul(f, c_prev), mul(i, cand))
-        h = mul(o, tanh(c))
-        return h, c
+        Adds the weight and bias gradients of the whole sequence into the
+        stacked gradient arrays and returns the gradient for x, if asked.
+        """
+        x, gates, cs, hs = cache
+        n, h_size = hs.shape
+        i, f, o, g = (gates[:, k * h_size:(k + 1) * h_size] for k in range(4))
+        tc = np.tanh(cs)
+        c_prev = np.vstack((np.zeros(h_size), cs[:-1]))
+        h_prev = np.vstack((np.zeros(h_size), hs[:-1]))
+        # d(gate pre-activation) / d(gate output), and d h / d c through tanh
+        slope = np.hstack((i * (1.0 - i), f * (1.0 - f), o * (1.0 - o), 1.0 - g * g))
+        dc_from_h = o * (1.0 - tc * tc)
+        w_h = self.weight[:, self.input_size:]
+        dz = np.empty_like(gates)
+        dh = np.zeros(h_size)
+        dc = np.zeros(h_size)
+        for t in range(n - 1, -1, -1):
+            dh = dh + d_hs[t]
+            dc = dc + dh * dc_from_h[t]
+            row = dz[t]
+            row[:h_size] = dc * g[t]
+            row[h_size:2 * h_size] = dc * c_prev[t]
+            row[2 * h_size:3 * h_size] = dh * tc[t]
+            row[3 * h_size:] = dc * i[t]
+            row *= slope[t]
+            dc = dc * f[t]
+            dh = row @ w_h
+        self.weight_grad += dz.T @ np.hstack((x, h_prev))
+        self.bias_grad += dz.sum(axis=0)
+        return dz @ self.weight[:, :self.input_size] if need_dx else None
 
     def named_parameters(self, prefix: str = ""):
         for gate_name in self.GATES:
@@ -557,7 +537,7 @@ class LstmCell:
 
 
 class BiEncoder:
-    """Two LSTMs reading a sequence in opposite directions, outputs concatenated."""
+    """Two LSTMs reading a sequence in opposite directions, outputs side by side."""
 
     def __init__(self, input_size: int, hidden_size: int,
                  rng: np.random.Generator | None = None):
@@ -568,40 +548,40 @@ class BiEncoder:
         self.forward_cell = LstmCell(input_size, hidden_size, rng)
         self.reverse_cell = LstmCell(input_size, hidden_size, rng)
 
-    @classmethod
-    def from_cells(cls, forward_cell: LstmCell, reverse_cell: LstmCell) -> "BiEncoder":
-        enc = cls.__new__(cls)
-        enc.input_size = forward_cell.input_size
-        enc.hidden_size = forward_cell.hidden_size
-        enc.forward_cell = forward_cell
-        enc.reverse_cell = reverse_cell
-        return enc
-
     @property
     def output_size(self) -> int:
         return 2 * self.hidden_size
 
-    def _run(self, cell: LstmCell, xs: Sequence[Tensor]) -> list[Tensor]:
-        h, c = cell.initial_state()
-        states = []
-        for x in xs:
-            h, c = cell.step(x, h, c)
-            states.append(h)
-        return states
+    def encode(self, x: Tensor) -> Tensor:
+        """Row t of the (n, 2H) result is [forward state t; reverse state t].
 
-    def encode_with_finals(self, xs: Sequence[Tensor]) -> tuple[list[Tensor], Tensor, Tensor]:
-        """Per-position [forward; reverse] states plus each direction's final state."""
-        if not xs:
+        The forward direction's final state is the last row's first half,
+        the reverse direction's is the first row's second half. Under grad
+        the whole encoder is one tape node.
+        """
+        if x.data.ndim != 2 or x.data.shape[1] != self.input_size:
+            raise ConfigurationError(
+                f"BiEncoder expects an (n, {self.input_size}) matrix, got {x.shape}")
+        if x.data.shape[0] == 0:
             raise InvalidInputError("BiEncoder.encode on an empty sequence")
-        fwd = self._run(self.forward_cell, xs)
-        rev = self._run(self.reverse_cell, list(reversed(xs)))
-        rev_aligned = list(reversed(rev))
-        outputs = [concat((f, r)) for f, r in zip(fwd, rev_aligned)]
-        return outputs, fwd[-1], rev[-1]
+        fwd, fwd_cache = self.forward_cell.run(x.data)
+        rev, rev_cache = self.reverse_cell.run(x.data[::-1])
+        out_data = np.hstack((fwd, rev[::-1]))
+        if not _grad_enabled:
+            return Tensor(out_data)
+        params = tuple(p for _, p in self.named_parameters())
+        out = Tensor(out_data, (x,) + params, None, True)
+        h = self.hidden_size
 
-    def encode(self, xs: Sequence[Tensor]) -> list[Tensor]:
-        outputs, _, _ = self.encode_with_finals(xs)
-        return outputs
+        def bw():
+            g = out.grad
+            dx = self.forward_cell.backprop(fwd_cache, g[:, :h], x.needs_grad)
+            dx_rev = self.reverse_cell.backprop(rev_cache, g[::-1, h:], x.needs_grad)
+            if x.needs_grad:
+                _acc(x, dx + dx_rev[::-1], own=True)
+
+        out._bw = bw
+        return out
 
     def named_parameters(self, prefix: str = ""):
         yield from self.forward_cell.named_parameters(prefix + "forward.")

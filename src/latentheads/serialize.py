@@ -9,6 +9,7 @@ out of scope: load for parsing, evaluation, and export.
 from __future__ import annotations
 
 import json
+import zipfile
 
 import numpy as np
 
@@ -67,48 +68,57 @@ def save_model(model: LhrModel, path: str) -> None:
 def load_model(path: str) -> LhrModel:
     try:
         archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise CheckpointError(f"cannot read checkpoint {path}: not an .npz archive")
+        with archive:
+            arrays = {name: archive[name] for name in archive.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    with archive:
-        if "meta" not in archive.files:
-            raise CheckpointError(f"{path} has no meta entry; not a model checkpoint")
-        try:
-            meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path} has a corrupt meta entry: {exc}") from exc
-        version = meta.get("format_version")
-        if version != FORMAT_VERSION:
+    if "meta" not in arrays:
+        raise CheckpointError(f"{path} has no meta entry; not a model checkpoint")
+    try:
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path} has a corrupt meta entry: {exc}") from exc
+    version = meta.get("format_version")
+    if version != FORMAT_VERSION:
+        raise CheckpointError(
+            f"{path} is format version {version!r}, this build reads {FORMAT_VERSION}")
+    try:
+        enc_cfg = EncoderConfig(**meta["config"]["encoder"])
+        cfg = ModelConfig(
+            encoder=enc_cfg,
+            context_hidden=meta["config"]["context_hidden"],
+            heads_hidden=meta["config"]["heads_hidden"],
+            labeler_hidden=meta["config"]["labeler_hidden"],
+            labeler_softmax=meta["config"]["labeler_softmax"],
+        )
+        word_vocab = _vocab_from_meta(meta["word_vocab"])
+        pos_vocab = _vocab_from_meta(meta["pos_vocab"])
+        label_vocab = _vocab_from_meta(meta["label_vocab"])
+        seen_pairs = [tuple(p) for p in meta["seen_pairs"]]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path} meta is missing fields: {exc}") from exc
+    model = LhrModel(word_vocab, pos_vocab, label_vocab, seen_pairs, cfg)
+    saved = {name[len("param/"):]: value
+             for name, value in arrays.items() if name.startswith("param/")}
+    current = dict(model.named_parameters())
+    if set(saved) != set(current):
+        missing = sorted(set(current) - set(saved))
+        extra = sorted(set(saved) - set(current))
+        raise CheckpointError(
+            f"{path} parameters do not match the configuration "
+            f"(missing {missing[:3]}, unexpected {extra[:3]})")
+    for name, p in current.items():
+        value = saved[name]
+        if value.shape != p.data.shape:
             raise CheckpointError(
-                f"{path} is format version {version!r}, this build reads {FORMAT_VERSION}")
-        try:
-            enc_cfg = EncoderConfig(**meta["config"]["encoder"])
-            cfg = ModelConfig(
-                encoder=enc_cfg,
-                context_hidden=meta["config"]["context_hidden"],
-                heads_hidden=meta["config"]["heads_hidden"],
-                labeler_hidden=meta["config"]["labeler_hidden"],
-                labeler_softmax=meta["config"]["labeler_softmax"],
-            )
-            word_vocab = _vocab_from_meta(meta["word_vocab"])
-            pos_vocab = _vocab_from_meta(meta["pos_vocab"])
-            label_vocab = _vocab_from_meta(meta["label_vocab"])
-            seen_pairs = [tuple(p) for p in meta["seen_pairs"]]
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(f"{path} meta is missing fields: {exc}") from exc
-        model = LhrModel(word_vocab, pos_vocab, label_vocab, seen_pairs, cfg)
-        saved = {name[len("param/"):]: archive[name]
-                 for name in archive.files if name.startswith("param/")}
-        current = dict(model.named_parameters())
-        if set(saved) != set(current):
-            missing = sorted(set(current) - set(saved))
-            extra = sorted(set(saved) - set(current))
+                f"{path}: parameter {name!r} has shape {value.shape}, "
+                f"expected {p.data.shape}")
+        if value.dtype != np.float64:
             raise CheckpointError(
-                f"{path} parameters do not match the configuration "
-                f"(missing {missing[:3]}, unexpected {extra[:3]})")
-        for name, p in current.items():
-            if saved[name].shape != p.data.shape:
-                raise CheckpointError(
-                    f"{path}: parameter {name!r} has shape {saved[name].shape}, "
-                    f"expected {p.data.shape}")
-            p.data[...] = saved[name]
+                f"{path}: parameter {name!r} has dtype {value.dtype}, expected float64")
+        if not np.all(np.isfinite(value)):
+            raise CheckpointError(f"{path}: parameter {name!r} has non-finite values")
+        p.data[...] = value
     return model

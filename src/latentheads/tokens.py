@@ -56,11 +56,9 @@ class EmbeddingTable:
         self.vectors = nn.Parameter(rng.uniform(-0.05, 0.05, size=(len(vocab), dim)))
         self.unknown_index = vocab.unknown_index
 
-    def lookup(self, symbol: str | None) -> nn.Tensor:
-        return nn.row(self.vectors, self.vocab.index_of(symbol))
-
-    def lookup_index(self, index: int) -> nn.Tensor:
-        return nn.row(self.vectors, index)
+    def lookup(self, symbols) -> nn.Tensor:
+        """One row per symbol, as an (n, dim) matrix; a string looks up its characters."""
+        return self.vectors[np.array([self.vocab.index_of(s) for s in symbols], dtype=np.intp)]
 
     def named_parameters(self, prefix: str = ""):
         yield prefix + "vectors", self.vectors
@@ -76,12 +74,17 @@ class CharEncoder:
         self.projection = nn.DenseLayer(2 * cfg.char_hidden, out_dim, "identity", rng)
         self.out_dim = out_dim
 
-    def encode(self, word: str) -> nn.Tensor:
-        if not word:
-            return nn.zeros(self.out_dim)
-        chars = [self.char_table.lookup(ch) for ch in word]
-        _, final_fwd, final_rev = self.char_birnn.encode_with_finals(chars)
-        return self.projection(nn.concat((final_fwd, final_rev)))
+    def encode(self, words) -> nn.Tensor:
+        """(n, out_dim): each word's projected final states; an empty word gets zeros."""
+        h = self.char_birnn.hidden_size
+        rows = []
+        for word in words:
+            if not word:
+                rows.append(nn.constant(np.zeros(self.out_dim)))
+                continue
+            states = self.char_birnn.encode(self.char_table.lookup(word))
+            rows.append(self.projection(nn.concat((states[-1, :h], states[0, h:]))))
+        return nn.stack_rows(rows)
 
     def named_parameters(self, prefix: str = ""):
         yield from self.char_table.named_parameters(prefix + "chars.")
@@ -95,7 +98,7 @@ def char_vocab_from_words(word_vocab: Vocabulary) -> Vocabulary:
 
 
 class TokenEncoder:
-    """Turns a sentence into the embedding sequence e_1..e_n.
+    """Turns a sentence into its embedding matrix, row i holding e_i.
 
     Input POS features come strictly from the externally predicted tag; a
     token without one uses the unknown POS vector. Gold tags are training
@@ -121,31 +124,32 @@ class TokenEncoder:
     def output_size(self) -> int:
         return self.config.word_dim + self.config.pos_dim
 
-    def _word_vector(self, form: str, training: bool,
-                     rng: np.random.Generator | None) -> nn.Tensor:
-        key = form.lower()
-        index = self.word_vocab.index_of(key)
-        if training:
-            if rng is None:
-                raise UsageError("training-time encoding needs a random generator for dropout")
-            p = drop_probability(self.word_vocab.count(key), self.config.alpha_word_dropout)
-            if p > 0.0 and rng.random() < p:
-                index = self.word_vocab.unknown_index
-        return self.word_table.lookup_index(index)
+    def _word_indices(self, sentence: Sentence, training: bool,
+                      rng: np.random.Generator | None) -> list[int]:
+        if training and rng is None:
+            raise UsageError("training-time encoding needs a random generator for dropout")
+        indices = []
+        for tok in sentence.tokens:
+            key = tok.form.lower()
+            index = self.word_vocab.index_of(key)
+            if training:
+                p = drop_probability(self.word_vocab.count(key), self.config.alpha_word_dropout)
+                if p > 0.0 and rng.random() < p:
+                    index = self.word_vocab.unknown_index
+            indices.append(index)
+        return indices
 
     def encode(self, sentence: Sentence, training: bool = False,
-               rng: np.random.Generator | None = None) -> list[nn.Tensor]:
+               rng: np.random.Generator | None = None) -> nn.Tensor:
+        """The (n, output_size) embedding matrix, one row per token."""
         if not sentence.tokens:
             raise InvalidInputError("cannot encode an empty sentence")
-        out = []
-        for tok in sentence.tokens:
-            word_vec = self._word_vector(tok.form, training, rng)
-            if self.pos_table is not None:
-                other = self.pos_table.lookup(tok.predicted_pos)
-            else:
-                other = self.char_encoder.encode(tok.form)
-            out.append(nn.concat((word_vec, other)))
-        return out
+        words = self.word_table.vectors[np.array(self._word_indices(sentence, training, rng))]
+        if self.pos_table is not None:
+            other = self.pos_table.lookup([tok.predicted_pos for tok in sentence.tokens])
+        else:
+            other = self.char_encoder.encode([tok.form for tok in sentence.tokens])
+        return nn.concat((words, other))
 
     def named_parameters(self, prefix: str = ""):
         yield from self.word_table.named_parameters(prefix + "words.")

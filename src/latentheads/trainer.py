@@ -73,7 +73,10 @@ def reconstruction_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentenc
     constant while parameters are perturbed.
     """
     term_loss = nn.mse_loss if cfg.loss == "mse" else nn.mae_loss
-    terms = []
+    context = enc.context_vectors
+    kept: list[int] = []
+    targets: list[np.ndarray] = []
+    live: dict[int, int] = {}  # kept row -> governor row whose gradient stays on
     for i, tok in enumerate(sentence.tokens):
         if cfg.skip_punct_heads and tok.is_punct:
             continue
@@ -81,18 +84,22 @@ def reconstruction_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentenc
         if target_overrides is not None and i in target_overrides:
             target = target_overrides[i]
         elif g == 0:
-            if cfg.root_target == "self":
-                target = enc.context_vectors[i].data
-            else:
-                target = model.root_vector.data
-        elif cfg.rebalance_targets:
-            target = enc.context_vectors[g - 1]
+            target = context.data[i] if cfg.root_target == "self" else model.root_vector.data
         else:
-            target = enc.context_vectors[g - 1].data
-        terms.append(term_loss(enc.latent_heads[i], target))
-    if not terms:
+            target = context.data[g - 1]
+            if cfg.rebalance_targets:
+                live[len(kept)] = g - 1
+        kept.append(i)
+        targets.append(target)
+    if not kept:
         return nn.constant(0.0)
-    return nn.mean_of(terms)
+    target = np.array(targets)
+    if live:
+        # rows past len(kept) of the table are the live context vectors
+        index = np.arange(len(kept))
+        index[list(live)] = len(kept) + np.array(list(live.values()))
+        target = nn.stack_rows((nn.constant(target), context))[index]
+    return term_loss(enc.latent_heads[np.array(kept)], target)
 
 
 def capture_targets(model: LhrModel, sentence: Sentence, enc: EncodedSentence,
@@ -110,10 +117,11 @@ def capture_targets(model: LhrModel, sentence: Sentence, enc: EncodedSentence,
             continue
         g = _gold_head(tok)
         if g == 0:
-            src = enc.context_vectors[i] if cfg.root_target == "self" else model.root_vector
-            frozen[i] = src.data.copy()
+            src = enc.context_vectors.data[i] if cfg.root_target == "self" \
+                else model.root_vector.data
+            frozen[i] = src.copy()
         elif not cfg.rebalance_targets:
-            frozen[i] = enc.context_vectors[g - 1].data.copy()
+            frozen[i] = enc.context_vectors.data[g - 1].copy()
     return frozen
 
 
@@ -124,28 +132,24 @@ def labeler_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentence) -> n
     built with softmax outputs. Governor context vectors stay live here, so
     this loss reaches the context encoder and the root vector.
     """
-    terms = []
-    for i, tok in enumerate(sentence.tokens):
-        g = _gold_head(tok)
+    heads, label_gold, pos_gold = [], [], []
+    for tok in sentence.tokens:
+        heads.append(_gold_head(tok))
         if tok.gold_label is None:
             raise InvalidInputError(
                 f"token {tok.index} ({tok.form!r}) has no arc label; disable the "
                 "labeler or train on labeled trees")
-        governor = model.root_vector if g == 0 else enc.context_vectors[g - 1]
-        label_scores, pos_scores = model.score_label_pos(enc.context_vectors[i], governor)
         li = model.label_vocab.strict_index(tok.gold_label)
         if li is None:
             raise InvalidInputError(
                 f"label {tok.gold_label!r} is not in the model's label inventory")
-        pi = model.pos_vocab.index_of(tok.gold_pos)
-        if model.config.labeler_softmax:
-            terms.append(nn.add(nn.nll_loss(label_scores, li), nn.nll_loss(pos_scores, pi)))
-        else:
-            terms.append(nn.add(nn.margin_loss(label_scores, li),
-                                nn.margin_loss(pos_scores, pi)))
-    if not terms:
-        return nn.constant(0.0)
-    return nn.mean_of(terms)
+        label_gold.append(li)
+        pos_gold.append(model.pos_vocab.index_of(tok.gold_pos))
+    context = enc.context_vectors
+    label_scores, pos_scores = model.score_label_pos(
+        context, model.governor_vectors(context, heads))
+    term_loss = nn.nll_loss if model.config.labeler_softmax else nn.margin_loss
+    return nn.add(term_loss(label_scores, label_gold), term_loss(pos_scores, pos_gold))
 
 
 def sentence_loss(model: LhrModel, sentence: Sentence, cfg: TrainConfig,

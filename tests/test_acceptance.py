@@ -21,7 +21,7 @@ from latentheads.decoder import ScoreMatrix, assign_heads, repair_cycles, select
 from latentheads.evaluation import evaluate
 from latentheads.trainer import TrainConfig, train
 
-from conftest import (POS_POOL, WORD_POOL, fd_gradient, fixture_path,
+from lhr_testutil import (POS_POOL, WORD_POOL, fd_gradient, fixture_path,
                       make_sentence, make_treebank, max_relative_error,
                       tiny_model)
 

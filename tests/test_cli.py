@@ -9,7 +9,7 @@ import pytest
 from latentheads import conll, export, serialize
 from latentheads.cli import main
 
-from conftest import fixture_path
+from lhr_testutil import fixture_path
 
 TRAIN = fixture_path("toy_train.conllu")
 DEV = fixture_path("toy_dev.conllu")
@@ -217,6 +217,41 @@ def test_corrupt_checkpoint_exits_1(tmp_path, capsys):
     code = main(["parse", "--model", str(bad), "--input", DEV])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_exits_1(trained, tmp_path, capsys):
+    cut = tmp_path / "cut.npz"
+    raw = open(trained, "rb").read()
+    cut.write_bytes(raw[:len(raw) // 2])
+    code = main(["parse", "--model", str(cut), "--input", DEV])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read checkpoint") and str(cut) in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_checkpoint_exits_1(trained, tmp_path, capsys):
+    import numpy as np
+    with np.load(trained, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays["param/head_reducer.bias"] = arrays["param/head_reducer.bias"].copy()
+    arrays["param/head_reducer.bias"][0] = np.nan
+    bad = tmp_path / "nan.npz"
+    np.savez(str(bad), **arrays)
+    code = main(["export-lss", "--model", str(bad), "--input", DEV,
+                 "--output", str(tmp_path / "out.lss")])
+    assert code == 1
+    assert "head_reducer.bias" in capsys.readouterr().err
+
+
+def test_non_utf8_treebank_exits_1(trained, tmp_path, capsys):
+    raw = open(DEV, "rb").read().replace(b"\t", b"\xff\t", 1)
+    bad = tmp_path / "latin1.conllu"
+    bad.write_bytes(raw)
+    code = main(["parse", "--model", trained, "--input", str(bad)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:" in err and "UTF-8" in err
 
 
 def test_module_entry_point_runs():

@@ -7,7 +7,7 @@ from latentheads.conll import (PunctuationRule, Token, Treebank, Vocabulary,
                                build_vocabularies, read_conll, write_conll)
 from latentheads.errors import DataFormatError, InvalidInputError
 
-from conftest import fixture_path
+from lhr_testutil import fixture_path
 
 
 def write_file(tmp_path, text, name="sample.conllu"):
@@ -125,6 +125,32 @@ def test_comments_are_preserved(tmp_path):
     out = tmp_path / "c.conllu"
     write_conll(tb, None, str(out))
     assert open(str(out), encoding="utf-8").read() == text
+
+
+def non_utf8_copy(tmp_path, name="toy_dev.conllu", line=8):
+    """A copy of a fixture with a 0xff byte at the end of the form on `line`."""
+    lines = open(fixture_path(name), "rb").read().split(b"\n")
+    cols = lines[line - 1].split(b"\t")
+    cols[1] += b"\xff"
+    lines[line - 1] = b"\t".join(cols)
+    path = tmp_path / name
+    path.write_bytes(b"\n".join(lines))
+    return str(path)
+
+
+def test_non_utf8_treebank_reports_file_and_line(tmp_path):
+    path = non_utf8_copy(tmp_path)
+    with pytest.raises(DataFormatError, match=f"^{path}:8: not valid UTF-8"):
+        read_conll(path)
+
+
+def test_windows_and_old_mac_line_ends_read_alike(tmp_path):
+    unix = read_conll(write_file(tmp_path, TWO_TOKENS + "\n" + TWO_TOKENS))
+    for ending in ("\r\n", "\r"):
+        p = tmp_path / "crlf.conllu"
+        p.write_bytes((TWO_TOKENS + "\n" + TWO_TOKENS).replace("\n", ending).encode("utf-8"))
+        other = read_conll(str(p))
+        assert [s.tokens for s in other.sentences] == [s.tokens for s in unix.sentences]
 
 
 def test_wrong_column_count_reports_line(tmp_path):

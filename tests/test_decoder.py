@@ -10,7 +10,7 @@ from latentheads.decoder import (DependencyTree, ScoreMatrix, assign_heads,
 from latentheads.errors import InvalidInputError
 from latentheads.model import EncodedSentence
 
-from conftest import make_sentence, make_treebank, tiny_model
+from lhr_testutil import make_sentence, make_treebank, tiny_model
 
 
 def scores_from(sim, root_sim):
@@ -20,9 +20,9 @@ def scores_from(sim, root_sim):
 
 def enc_from_rows(context_rows, latent_rows):
     return EncodedSentence(
-        embeddings=[],
-        context_vectors=[nn.Tensor(np.asarray(r, dtype=float)) for r in context_rows],
-        latent_heads=[nn.Tensor(np.asarray(r, dtype=float)) for r in latent_rows],
+        embeddings=None,
+        context_vectors=nn.Tensor(np.asarray(context_rows, dtype=float)),
+        latent_heads=nn.Tensor(np.asarray(latent_rows, dtype=float)),
     )
 
 
@@ -194,8 +194,9 @@ def test_tree_validate_rejects_bad_trees():
 
 def fixed_score_model(model, label_scores, pos_scores):
     def stub(dep, gov):
-        return nn.Tensor(np.asarray(label_scores, float)), \
-               nn.Tensor(np.asarray(pos_scores, float))
+        rows = (len(dep), 1)
+        return nn.Tensor(np.tile(np.asarray(label_scores, float), rows)), \
+               nn.Tensor(np.tile(np.asarray(pos_scores, float), rows))
     model.score_label_pos = stub
     return model
 
@@ -224,7 +225,8 @@ def test_joint_score_sums_label_and_pos():
     label_scores[1], pos_scores[1] = 0.6, 0.5   # pair (b, y) sums to 1.1
     m = fixed_score_model(m, label_scores, pos_scores)
     s = make_sentence(2, rng)
-    enc = enc_from_rows([[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    rows = np.eye(2, m.context_size)
+    enc = enc_from_rows(rows, rows)
     tree = DependencyTree([0, 1], [None] * 2, [None] * 2, [0.0] * 2)
     out = assign_labels_pos(m, enc, tree, seen_pairs=[(a, x), (b, y)])
     assert out.labels == [b, b]
@@ -241,7 +243,8 @@ def test_unseen_argmax_pair_is_never_chosen():
     label_scores[0] = 5.0   # unconstrained best label
     pos_scores[1] = 5.0     # unconstrained best pos; pair (0,1) is NOT seen
     m = fixed_score_model(m, label_scores, pos_scores)
-    enc = enc_from_rows([[1, 0]], [[1, 0]])
+    rows = np.eye(1, m.context_size)
+    enc = enc_from_rows(rows, rows)
     tree = DependencyTree([0], [None], [None], [0.0])
     seen = [(labels[0], pos[0]), (labels[1], pos[1])]
     out = assign_labels_pos(m, enc, tree, seen_pairs=seen)

@@ -8,7 +8,7 @@ import pytest
 from latentheads import export
 from latentheads.errors import DataFormatError, InvalidInputError
 
-from conftest import make_treebank, tiny_model
+from lhr_testutil import make_treebank, tiny_model
 
 
 @pytest.fixture(scope="module")

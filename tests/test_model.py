@@ -7,7 +7,7 @@ from latentheads import nn
 from latentheads.errors import ConfigurationError, InvalidInputError
 from latentheads.model import LhrModel, ModelConfig
 
-from conftest import make_sentence, make_treebank, tiny_config, tiny_model
+from lhr_testutil import make_sentence, make_treebank, tiny_config, tiny_model
 
 
 @pytest.fixture(scope="module")

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latentheads import nn
+from latentheads import decoder, nn
 from latentheads.errors import ConfigurationError, InvalidInputError, NonFiniteError, UsageError
 
-from conftest import fd_gradient, max_relative_error
+from latentheads.model import EncodedSentence
+
+from lhr_testutil import fd_gradient, max_relative_error
 
 
 def tensor(values):
@@ -63,46 +65,49 @@ def _zeroed_cell(input_size=2, hidden=3):
 
 def test_lstm_all_zero_weights_gives_zero_state():
     cell = _zeroed_cell()
-    h0, c0 = cell.initial_state()
-    h, c = cell.step(tensor([0.4, -1.2]), h0, c0)
-    assert np.array_equal(h.data, np.zeros(3))
-    assert np.array_equal(c.data, np.zeros(3))
+    hs, (_, _, cs, _) = cell.run(np.array([[0.4, -1.2]]))
+    assert np.array_equal(hs, np.zeros((1, 3)))
+    assert np.array_equal(cs, np.zeros((1, 3)))
 
 
 def test_lstm_saturated_gates_carry_cell_state():
-    # forget gate wide open, input gate shut: c must pass through unchanged
+    # forget gate wide open; the input gate opens on the first step only, so
+    # the second step must carry the first step's cell state unchanged
     cell = _zeroed_cell()
     cell.b_forget.data[...] = 50.0
-    cell.b_input.data[...] = -50.0
-    h0, _ = cell.initial_state()
-    c_prev = tensor([0.3, -0.8, 1.1])
-    _, c = cell.step(tensor([2.0, -0.5]), h0, c_prev)
-    assert np.allclose(c.data, c_prev.data, atol=1e-12)
+    cell.w_input.data[:, 0] = 50.0
+    cell.w_candidate.data[:, 1] = 1.0
+    _, (_, _, cs, _) = cell.run(np.array([[2.0, 0.7], [-2.0, -0.5]]))
+    assert np.allclose(cs[0], np.tanh(0.7), atol=1e-12)
+    assert np.allclose(cs[1], cs[0], atol=1e-12)
 
 
 def test_lstm_matches_scalar_reimplementation():
     rng = np.random.default_rng(42)
     cell = nn.LstmCell(2, 3, rng)
-    x = rng.normal(size=2)
-    h_prev = rng.normal(size=3)
-    c_prev = rng.normal(size=3)
-    h, c = cell.step(tensor(x), tensor(h_prev), tensor(c_prev))
+    xs = rng.normal(size=(2, 2))
+    hs, (_, _, cs, _) = cell.run(xs)
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
 
-    xh = list(x) + list(h_prev)
-    for j in range(3):
-        def affine(w, b):
-            return sum(w.data[j][k] * xh[k] for k in range(5)) + b.data[j]
-        i_j = sig(affine(cell.w_input, cell.b_input))
-        f_j = sig(affine(cell.w_forget, cell.b_forget))
-        o_j = sig(affine(cell.w_output, cell.b_output))
-        g_j = math.tanh(affine(cell.w_candidate, cell.b_candidate))
-        c_j = f_j * c_prev[j] + i_j * g_j
-        h_j = o_j * math.tanh(c_j)
-        assert abs(c.data[j] - c_j) < 1e-12
-        assert abs(h.data[j] - h_j) < 1e-12
+    h_prev, c_prev = [0.0] * 3, [0.0] * 3
+    for t in range(2):
+        xh = list(xs[t]) + h_prev
+        h_new, c_new = [], []
+        for j in range(3):
+            def affine(w, b):
+                return sum(w.data[j][k] * xh[k] for k in range(5)) + b.data[j]
+            i_j = sig(affine(cell.w_input, cell.b_input))
+            f_j = sig(affine(cell.w_forget, cell.b_forget))
+            o_j = sig(affine(cell.w_output, cell.b_output))
+            g_j = math.tanh(affine(cell.w_candidate, cell.b_candidate))
+            c_new.append(f_j * c_prev[j] + i_j * g_j)
+            h_new.append(o_j * math.tanh(c_new[j]))
+        for j in range(3):
+            assert abs(cs[t][j] - c_new[j]) < 1e-12
+            assert abs(hs[t][j] - h_new[j]) < 1e-12
+        h_prev, c_prev = h_new, c_new
 
 
 def test_lstm_forget_bias_initialized_to_one():
@@ -111,53 +116,88 @@ def test_lstm_forget_bias_initialized_to_one():
     assert np.all(cell.b_input.data == 0.0)
 
 
+def test_lstm_gate_parameters_are_views_of_the_stacked_arrays():
+    cell = nn.LstmCell(2, 3, np.random.default_rng(0))
+    cell.w_output.data[...] = 7.0
+    cell.b_candidate.grad[...] = 2.0
+    assert np.all(cell.weight[6:9] == 7.0)
+    assert np.all(cell.bias_grad[9:12] == 2.0)
+    assert np.all(cell.bias_grad[:9] == 0.0)
+
+
 # ----------------------------------------------------------------- bi-encoder
 
 def test_biencoder_single_token_is_two_single_steps():
     enc = nn.BiEncoder(2, 3, np.random.default_rng(5))
-    x = tensor([0.7, -0.2])
-    out = enc.encode([x])
-    h0, c0 = enc.forward_cell.initial_state()
-    hf, _ = enc.forward_cell.step(x, h0, c0)
-    hr, _ = enc.reverse_cell.step(x, *enc.reverse_cell.initial_state())
-    assert np.allclose(out[0].data, np.concatenate([hf.data, hr.data]))
+    x = np.array([[0.7, -0.2]])
+    out = enc.encode(tensor(x))
+    hf, _ = enc.forward_cell.run(x)
+    hr, _ = enc.reverse_cell.run(x)
+    assert np.allclose(out.data[0], np.concatenate([hf[0], hr[0]]))
 
 
 def test_biencoder_palindrome_with_shared_cell():
-    rng = np.random.default_rng(9)
-    cell = nn.LstmCell(2, 3, rng)
-    enc = nn.BiEncoder.from_cells(cell, cell)
-    xs = [tensor([0.1, 0.4]), tensor([-0.9, 0.2]), tensor([0.1, 0.4])]
-    out = enc.encode(xs)
+    enc = nn.BiEncoder(2, 3, np.random.default_rng(9))
+    enc.reverse_cell.weight[...] = enc.forward_cell.weight
+    enc.reverse_cell.bias[...] = enc.forward_cell.bias
+    xs = np.array([[0.1, 0.4], [-0.9, 0.2], [0.1, 0.4]])
+    out = enc.encode(tensor(xs)).data
     h = enc.hidden_size
     # with one shared cell on a palindrome, position k reversed equals
     # position n-1-k with forward/reverse halves swapped
     for k in range(len(xs)):
-        mirrored = out[len(xs) - 1 - k].data
+        mirrored = out[len(xs) - 1 - k]
         swapped = np.concatenate([mirrored[h:], mirrored[:h]])
-        assert np.allclose(out[k].data, swapped, atol=1e-12)
+        assert np.allclose(out[k], swapped, atol=1e-12)
 
 
 def test_biencoder_shapes():
     enc = nn.BiEncoder(3, 4, np.random.default_rng(0))
-    outs = enc.encode([tensor(np.ones(3))] * 5)
-    assert len(outs) == 5
-    assert all(o.data.shape == (8,) for o in outs)
+    outs = enc.encode(tensor(np.ones((5, 3))))
+    assert outs.shape == (5, 8)
     assert enc.output_size == 8
+    with pytest.raises(ConfigurationError):
+        enc.encode(tensor(np.ones(3)))
 
 
 def test_biencoder_rejects_empty_sequence():
     enc = nn.BiEncoder(2, 2, np.random.default_rng(0))
     with pytest.raises(InvalidInputError):
-        enc.encode([])
+        enc.encode(tensor(np.zeros((0, 2))))
 
 
 def test_biencoder_finals_are_sequence_ends():
     enc = nn.BiEncoder(2, 3, np.random.default_rng(3))
-    xs = [tensor([0.2, 0.1]), tensor([1.0, -1.0]), tensor([0.5, 0.5])]
-    outs, final_fwd, final_rev = enc.encode_with_finals(xs)
-    assert np.array_equal(final_fwd.data, outs[-1].data[:3])
-    assert np.array_equal(final_rev.data, outs[0].data[3:])
+    xs = np.array([[0.2, 0.1], [1.0, -1.0], [0.5, 0.5]])
+    outs = enc.encode(tensor(xs)).data
+    final_fwd = enc.forward_cell.run(xs)[0][-1]
+    final_rev = enc.reverse_cell.run(xs[::-1])[0][-1]
+    assert np.array_equal(final_fwd, outs[-1, :3])
+    assert np.array_equal(final_rev, outs[0, 3:])
+
+
+def test_biencoder_gradients_match_finite_differences():
+    rng = np.random.default_rng(13)
+    enc = nn.BiEncoder(3, 4, rng)
+    x = nn.Parameter(rng.normal(size=(5, 3)))
+    target = rng.normal(size=(5, 8))
+
+    def loss_fn():
+        return float(nn.mse_loss(enc.encode(x), target).data)
+
+    nn.mse_loss(enc.encode(x), target).backward()
+    for p in (x, enc.forward_cell.w_input, enc.forward_cell.b_forget,
+              enc.reverse_cell.w_candidate, enc.reverse_cell.b_output):
+        fd = fd_gradient(loss_fn, p)
+        assert max_relative_error(p.grad, fd) < 1e-6
+
+
+def test_no_grad_encoder_records_nothing():
+    enc = nn.BiEncoder(2, 3, np.random.default_rng(0))
+    x = nn.Parameter(np.ones((4, 2)))
+    with nn.no_grad():
+        out = enc.encode(x)
+    assert not out.needs_grad and out._bw is None and out._parents == ()
 
 
 # ------------------------------------------------------------------- backward
@@ -173,11 +213,11 @@ def test_backward_zero_loss_zero_gradients():
 
 def test_backward_tanh_chain_at_zero():
     # d tanh(w*x)/dw at w=0, x=1 is sech^2(0) = 1
-    w = nn.Parameter(np.array([0.0]))
+    w = nn.Parameter(np.array([[0.0]]))
     x = tensor([1.0])
-    loss = nn.tanh(nn.mul(w, x))
+    loss = nn.tanh(nn.linear(x, w, tensor([0.0])))
     loss.backward()
-    assert np.allclose(w.grad, [1.0])
+    assert np.allclose(w.grad, [[1.0]])
 
 
 def test_backward_requires_scalar():
@@ -204,7 +244,7 @@ def test_no_grad_builds_no_tape():
 
 def test_gradient_accumulates_across_uses():
     w = nn.Parameter(np.array([0.5]))
-    y = nn.add(nn.mul(w, tensor([2.0])), nn.mul(w, tensor([3.0])))
+    y = nn.add(nn.scale(w, 2.0), nn.scale(w, 3.0))
     loss = nn.mse_loss(y, np.zeros(1))
     loss.backward()
     # d/dw (5w)^2 = 50w = 25
@@ -329,21 +369,60 @@ def test_nll_gradient_matches_finite_differences():
 
 
 # --------------------------------------------------------------------- cosine
+# The decoder's normalized score matrix is the package's one cosine.
+
+def cosine(a, b) -> float:
+    enc = EncodedSentence(embeddings=None, context_vectors=tensor([b]),
+                          latent_heads=tensor([a]))
+    return float(decoder.build_scores(enc, np.ones(len(a))).sim[0, 0])
+
 
 def test_cosine_identical_unit_vectors():
-    assert nn.cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
+    assert cosine(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
 
 
 def test_cosine_orthogonal():
-    assert nn.cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
 
 def test_cosine_collinear():
-    assert nn.cosine_similarity(np.array([1.0, 2.0]), np.array([2.0, 4.0])) == 1.0
+    assert cosine(np.array([1.0, 2.0]), np.array([2.0, 4.0])) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_cosine_zero_vector_scores_zero():
-    assert nn.cosine_similarity(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
+    assert cosine(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
+
+
+# ------------------------------------------------------------ matrix ops
+
+def test_matrix_chain_matches_finite_differences():
+    rng = np.random.default_rng(21)
+    table = nn.Parameter(rng.normal(size=(4, 3)))
+    root = nn.Parameter(rng.normal(size=3))
+    layer = nn.DenseLayer(6, 5, "softmax", rng)
+    index = np.array([2, 0, 2, 3, 1])  # repeated rows accumulate
+
+    def forward():
+        rows = table[index]
+        governors = nn.stack_rows((root, rows))[np.array([0, 1, 1, 4, 2])]
+        probs = layer(nn.concat((rows, governors)))
+        return nn.add(nn.nll_loss(probs, [0, 4, 2, 2, 1]),
+                      nn.margin_loss(probs, [1, 1, 0, 3, 4]))
+
+    forward().backward()
+    for p in (table, root, layer.weights, layer.bias):
+        fd = fd_gradient(lambda: float(forward().data), p)
+        assert max_relative_error(p.grad, fd) < 1e-6
+
+
+def test_row_losses_are_means_of_vector_losses():
+    rng = np.random.default_rng(22)
+    scores = rng.normal(size=(4, 3))
+    gold = [0, 2, 1, 1]
+    for loss in (nn.margin_loss, nn.nll_loss):
+        rows = [float(loss(tensor(s), g).data) for s, g in zip(scores, gold)]
+        whole = float(loss(tensor(scores), gold).data)
+        assert whole == pytest.approx(sum(rows) / 4, rel=1e-14)
 
 
 # ----------------------------------------------------------------- properties
@@ -358,10 +437,10 @@ finite_vec = st.lists(st.floats(min_value=-100, max_value=100,
 def test_cosine_always_in_unit_interval(values, pyrandom):
     a = np.array(values)
     b = np.array([pyrandom.uniform(-100, 100) for _ in values])
-    c = nn.cosine_similarity(a, b)
+    c = cosine(a, b)
     assert -1.0 <= c <= 1.0
     if np.linalg.norm(a) > 1e-9:
-        assert nn.cosine_similarity(a, a) == 1.0
+        assert cosine(a, a) == pytest.approx(1.0, abs=1e-15)
 
 
 @given(st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False),
@@ -386,5 +465,6 @@ def test_softmax_is_a_distribution(values):
 def test_elementwise_ops_preserve_shape(n):
     x = tensor(np.linspace(-2, 2, n))
     assert nn.tanh(x).data.shape == (n,)
-    assert nn.sigmoid(x).data.shape == (n,)
     assert nn.softmax(x).data.shape == (n,)
+    rows = nn.softmax(tensor(np.linspace(-2, 2, 3 * n).reshape(3, n))).data
+    assert rows.shape == (3, n) and np.allclose(rows.sum(axis=1), 1.0)

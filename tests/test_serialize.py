@@ -7,10 +7,12 @@ import zipfile
 import numpy as np
 import pytest
 
-from latentheads import decoder, serialize
+from latentheads import conll, decoder, serialize
 from latentheads.errors import CheckpointError
+from latentheads.model import LhrModel, ModelConfig
+from latentheads.tokens import EncoderConfig
 
-from conftest import make_treebank, tiny_model
+from lhr_testutil import fixture_path, make_treebank, tiny_model
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +169,74 @@ def test_checkpoint_is_a_plain_zip(model, tmp_path):
         names = z.namelist()
     assert "meta.npy" in names
     assert any(n.startswith("param/") for n in names)
+
+
+def saved_arrays(model, tmp_path):
+    src = tmp_path / "m.npz"
+    serialize.save_model(model, str(src))
+    with np.load(str(src), allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def test_truncated_file_raises(model, tmp_path):
+    path = tmp_path / "m.npz"
+    serialize.save_model(model, str(path))
+    raw = path.read_bytes()
+    for keep in (len(raw) // 2, len(raw) - 10):
+        cut = tmp_path / f"cut{keep}.npz"
+        cut.write_bytes(raw[:keep])
+        with pytest.raises(CheckpointError, match=f"cannot read checkpoint {cut}"):
+            serialize.load_model(str(cut))
+
+
+def test_plain_npy_file_raises(tmp_path):
+    path = tmp_path / "array.npy"
+    np.save(str(path), np.zeros(3))
+    with pytest.raises(CheckpointError, match="not an .npz archive"):
+        serialize.load_model(str(path))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_raises(model, tmp_path, value):
+    arrays = saved_arrays(model, tmp_path)
+    arrays["param/context_encoder.reverse.w_output"][1, 2] = value
+    dst = tmp_path / "nonfinite.npz"
+    np.savez(str(dst), **arrays)
+    with pytest.raises(CheckpointError, match="'context_encoder.reverse.w_output' has non-finite"):
+        serialize.load_model(str(dst))
+
+
+def test_non_float64_parameter_raises(model, tmp_path):
+    arrays = saved_arrays(model, tmp_path)
+    arrays["param/root_vector"] = arrays["param/root_vector"].astype(np.float32)
+    dst = tmp_path / "single.npz"
+    np.savez(str(dst), **arrays)
+    with pytest.raises(CheckpointError, match="'root_vector' has dtype float32"):
+        serialize.load_model(str(dst))
+
+
+def test_checkpoint_from_earlier_build_parses_unchanged(tmp_path):
+    # written and parsed by the per-vector build (format version 1), whose
+    # toy_dev output is stored next to it
+    model = serialize.load_model(fixture_path("toy_model_v1.npz"))
+    dev = conll.read_conll(fixture_path("toy_dev.conllu"), strict=False)
+    out = tmp_path / "parsed.conllu"
+    conll.write_conll(dev, [decoder.parse(model, s) for s in dev.sentences], str(out))
+    assert out.read_bytes() == open(fixture_path("toy_dev_parsed_v1.conllu"), "rb").read()
+
+
+# sha256 of fresh seed-11 checkpoints on the toy_train vocabularies, as the
+# per-vector build wrote them: stacked gates must initialise gate by gate
+@pytest.mark.parametrize("dims, digest", [
+    ((6, 3, 4, 4, 5), "35dafa51e1f4a21ef95539a3eef2d36d85072c268982b29061644948c41a4a1d"),
+    ((150, 50, 200, 200, 100),
+     "08aaf3ad7e4df0f83d2f576bcebd2f38d8ed31ae2fd5cd07e1c1ef9b139a25cf"),
+], ids=["test-dims", "paper-dims"])
+def test_fresh_seeded_checkpoint_bytes_are_unchanged(tmp_path, dims, digest):
+    tb = conll.read_conll(fixture_path("toy_train.conllu"))
+    cfg = ModelConfig(encoder=EncoderConfig(word_dim=dims[0], pos_dim=dims[1]),
+                      context_hidden=dims[2], heads_hidden=dims[3], labeler_hidden=dims[4])
+    model = LhrModel(*conll.build_vocabularies(tb), cfg, seed=11)
+    path = tmp_path / "fresh.npz"
+    serialize.save_model(model, str(path))
+    assert sha256(path) == digest

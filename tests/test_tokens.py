@@ -69,7 +69,7 @@ def test_unknown_word_uses_unknown_row():
     enc = encoder()
     s = sent([("zyzzyva", "NOUN")])
     out = enc.encode(s, training=False)[0]
-    unk = enc.word_table.lookup_index(enc.word_table.unknown_index)
+    unk = enc.word_table.vectors[enc.word_table.unknown_index]
     assert np.array_equal(out.data[:5], unk.data)
 
 
@@ -96,7 +96,7 @@ def test_missing_predicted_tag_uses_unknown_pos_row():
     s = sent([("dog", "NOUN")])
     s.tokens[0].predicted_pos = None
     out = enc.encode(s, training=False)[0]
-    unk_pos = enc.pos_table.lookup_index(enc.pos_table.unknown_index)
+    unk_pos = enc.pos_table.vectors[enc.pos_table.unknown_index]
     assert np.array_equal(out.data[5:], unk_pos.data)
 
 
@@ -122,7 +122,7 @@ def test_training_without_rng_is_an_error():
 def test_word_dropout_replaces_rare_words_sometimes():
     enc = encoder()
     s = sent([("barks", "VERB")])  # count 1 -> drop probability 0.2
-    unk = enc.word_table.lookup_index(enc.word_table.unknown_index).data
+    unk = enc.word_table.vectors[enc.word_table.unknown_index].data
     rng = np.random.default_rng(123)
     dropped = 0
     for _ in range(400):
@@ -135,7 +135,7 @@ def test_word_dropout_replaces_rare_words_sometimes():
 def test_word_dropout_never_fires_at_inference():
     enc = encoder()
     s = sent([("barks", "VERB")])
-    unk = enc.word_table.lookup_index(enc.word_table.unknown_index).data
+    unk = enc.word_table.vectors[enc.word_table.unknown_index].data
     out = enc.encode(s, training=False)[0]
     assert not np.array_equal(out.data[:5], unk)
 
@@ -143,7 +143,7 @@ def test_word_dropout_never_fires_at_inference():
 def test_word_dropout_leaves_pos_part_alone():
     enc = encoder()
     s = sent([("barks", "VERB")])
-    pos_row = enc.pos_table.lookup("VERB").data
+    pos_row = enc.pos_table.lookup(["VERB"]).data[0]
     rng = np.random.default_rng(1)
     for _ in range(50):
         out = enc.encode(s, training=True, rng=rng)[0]
@@ -176,8 +176,8 @@ def test_char_encoder_single_character_word():
     cfg = EncoderConfig(char_dim=4, char_hidden=3, pos_dim=6)
     ce = CharEncoder(char_vocab_from_words(words), cfg, out_dim=6,
                      rng=np.random.default_rng(2))
-    out = ce.encode("a")
-    assert out.data.shape == (6,)
+    out = ce.encode(["a"])
+    assert out.data.shape == (1, 6)
 
 
 def test_char_encoder_deterministic():
@@ -185,7 +185,7 @@ def test_char_encoder_deterministic():
     cfg = EncoderConfig(char_dim=4, char_hidden=3)
     ce = CharEncoder(char_vocab_from_words(words), cfg, out_dim=5,
                      rng=np.random.default_rng(2))
-    assert np.array_equal(ce.encode("dog").data, ce.encode("dog").data)
+    assert np.array_equal(ce.encode(["dog"]).data, ce.encode(["dog"]).data)
 
 
 def test_char_encoder_is_order_sensitive():
@@ -193,7 +193,7 @@ def test_char_encoder_is_order_sensitive():
     cfg = EncoderConfig(char_dim=4, char_hidden=3)
     ce = CharEncoder(char_vocab_from_words(words), cfg, out_dim=5,
                      rng=np.random.default_rng(3))
-    assert not np.allclose(ce.encode("cat").data, ce.encode("act").data)
+    assert not np.allclose(ce.encode(["cat"]).data, ce.encode(["act"]).data)
 
 
 def test_word_char_mode_output_size_matches_word_pos():

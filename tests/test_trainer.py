@@ -11,7 +11,7 @@ from latentheads.model import EncodedSentence
 from latentheads.trainer import (TrainConfig, labeler_loss, reconstruction_loss,
                                  sentence_loss, train, train_sentence)
 
-from conftest import (fd_gradient, make_sentence, make_treebank,
+from lhr_testutil import (fd_gradient, make_sentence, make_treebank,
                       max_relative_error, tiny_model)
 
 
@@ -67,11 +67,11 @@ def test_exact_reconstruction_gives_zero_loss(toy):
     rigged = EncodedSentence(
         embeddings=enc.embeddings,
         context_vectors=enc.context_vectors,
-        latent_heads=[
-            nn.Tensor(enc.context_vectors[1].data.copy()),
-            nn.Tensor(model.root_vector.data.copy()),
-            nn.Tensor(enc.context_vectors[1].data.copy()),
-        ])
+        latent_heads=nn.Tensor(np.stack([
+            enc.context_vectors.data[1],
+            model.root_vector.data,
+            enc.context_vectors.data[1],
+        ])))
     loss = reconstruction_loss(model, s, rigged, TrainConfig())
     assert float(loss.data) == 0.0
 
@@ -237,6 +237,27 @@ def test_char_mode_gradients_match_finite_differences(toy):
         assert max_relative_error(p.grad, fd) < 1e-4
     for _, p in named.items():
         p.grad[...] = 0.0
+
+
+def tape_nodes(loss) -> int:
+    seen = set()
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(p for p in node._parents if p.needs_grad)
+    return len(seen)
+
+
+@pytest.mark.parametrize("cfg", [TrainConfig(), TrainConfig(rebalance_targets=True)],
+                         ids=["default", "rebalance"])
+def test_tape_size_does_not_grow_with_sentence_length(toy, cfg):
+    model = tiny_model(toy)
+    rng = np.random.default_rng(12)
+    sizes = [tape_nodes(sentence_loss(model, make_sentence(n, rng), cfg)[0]) for n in (3, 30)]
+    assert sizes[0] == sizes[1]
+    assert sizes[0] < 2 * len(model.named_parameters())
 
 
 def test_training_reduces_average_loss(toy):
