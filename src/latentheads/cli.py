@@ -14,9 +14,9 @@ import numpy as np
 
 from . import decoder, serialize, export as export_mod
 from .conll import (FORMATS, PunctuationRule, build_vocabularies, read_conll,
-                    write_conll)
+                    read_lines, write_conll)
 from .decoder import DependencyTree
-from .errors import LatentHeadsError, UsageError
+from .errors import DataFormatError, LatentHeadsError, UsageError
 from .evaluation import evaluate
 from .model import LhrModel, ModelConfig
 from .tokens import MODES, EncoderConfig
@@ -52,30 +52,30 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--model", required=True, metavar="FILE", help="checkpoint to write")
     tr.add_argument("--format", choices=FORMATS, default="conllu")
     tr.add_argument("--config", metavar="FILE", help="key=value file with defaults for any flag")
-    tr.add_argument("--epochs", type=int, default=20)
-    tr.add_argument("--lr", type=float, default=0.001)
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--loss", choices=LOSSES, default="mse",
-                    help="reconstruction distance (default mse)")
-    tr.add_argument("--word-dim", type=int, default=150)
-    tr.add_argument("--pos-dim", type=int, default=50)
-    tr.add_argument("--context-hidden", type=int, default=200)
-    tr.add_argument("--heads-hidden", type=int, default=200)
-    tr.add_argument("--labeler-hidden", type=int, default=100)
-    tr.add_argument("--mode", choices=MODES, default="word+pos",
-                    help="token representation (default word+pos)")
-    tr.add_argument("--char-dim", type=int, default=25)
-    tr.add_argument("--char-hidden", type=int, default=50)
-    tr.add_argument("--alpha", type=float, default=0.25,
+    tr.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    tr.add_argument("--lr", type=float, default=TrainConfig.lr)
+    tr.add_argument("--seed", type=int, default=TrainConfig.seed)
+    tr.add_argument("--loss", choices=LOSSES, default=TrainConfig.loss,
+                    help="reconstruction distance (default %(default)s)")
+    tr.add_argument("--word-dim", type=int, default=EncoderConfig.word_dim)
+    tr.add_argument("--pos-dim", type=int, default=EncoderConfig.pos_dim)
+    tr.add_argument("--context-hidden", type=int, default=ModelConfig.context_hidden)
+    tr.add_argument("--heads-hidden", type=int, default=ModelConfig.heads_hidden)
+    tr.add_argument("--labeler-hidden", type=int, default=ModelConfig.labeler_hidden)
+    tr.add_argument("--mode", choices=MODES, default=EncoderConfig.mode,
+                    help="token representation (default %(default)s)")
+    tr.add_argument("--char-dim", type=int, default=EncoderConfig.char_dim)
+    tr.add_argument("--char-hidden", type=int, default=EncoderConfig.char_hidden)
+    tr.add_argument("--alpha", type=float, default=EncoderConfig.alpha_word_dropout,
                     help="word dropout strength alpha/(count+alpha)")
     tr.add_argument("--min-count", type=int, default=1,
                     help="words rarer than this map to the unknown embedding")
     tr.add_argument("--no-labeler", action="store_true",
                     help="train the reconstruction objective alone")
-    tr.add_argument("--labeler-weight", type=float, default=1.0)
+    tr.add_argument("--labeler-weight", type=float, default=TrainConfig.labeler_weight)
     tr.add_argument("--labeler-softmax", action="store_true",
                     help="cross-entropy classifier outputs instead of hinge")
-    tr.add_argument("--root-target", choices=ROOT_TARGETS, default="root_vector",
+    tr.add_argument("--root-target", choices=ROOT_TARGETS, default=TrainConfig.root_target,
                     help="reconstruction target for root-governed tokens")
     tr.add_argument("--rebalance-targets", action="store_true",
                     help="let reconstruction gradients reach the target context vectors")
@@ -116,19 +116,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, eq, value = line.partition("=")
-                if not eq:
-                    raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                values[key.strip().replace("-", "_")] = value.strip()
+        lines = read_lines(path)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    except DataFormatError as exc:
+        raise UsageError(str(exc)) from None
+    values = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -188,7 +190,6 @@ def cmd_train(args) -> int:
                               char_dim=args.char_dim, char_hidden=args.char_hidden),
         context_hidden=args.context_hidden, heads_hidden=args.heads_hidden,
         labeler_hidden=args.labeler_hidden, labeler_softmax=args.labeler_softmax)
-    cfg.validate()
     model = LhrModel(word_vocab, pos_vocab, label_vocab, seen_pairs, cfg, seed=args.seed)
     tcfg = TrainConfig(
         epochs=args.epochs, lr=args.lr, loss=args.loss,

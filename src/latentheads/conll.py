@@ -111,20 +111,67 @@ class Treebank:
         return len(self.sentences)
 
 
-def _validate_tree(sent: Sentence, where: str) -> None:
-    n = len(sent.tokens)
-    roots = [t.index for t in sent.tokens if t.gold_head == 0]
-    if len(roots) != 1:
-        raise DataFormatError(f"{where}: expected exactly one root token, found {len(roots)}")
-    # every token must reach the root without revisiting a node
-    for tok in sent.tokens:
-        seen = set()
-        cur = tok.index
-        while cur != 0:
-            if cur in seen:
-                raise DataFormatError(f"{where}: cycle through token {cur}")
-            seen.add(cur)
-            cur = sent.tokens[cur - 1].gold_head
+def find_cycles(heads: Sequence[int]) -> list[list[int]]:
+    """Cycles of the head graph as 1-based token lists, by smallest member.
+
+    Following head links from any token either reaches the root (0) or loops;
+    each token has one outgoing arc, so cycles are disjoint.
+    """
+    n = len(heads)
+    state = [0] * (n + 1)  # 0 unvisited, 1 on current walk, 2 done
+    cycles = []
+    for start in range(1, n + 1):
+        if state[start]:
+            continue
+        path = []
+        cur = start
+        while cur != 0 and state[cur] == 0:
+            state[cur] = 1
+            path.append(cur)
+            cur = heads[cur - 1]
+        if cur != 0 and state[cur] == 1:
+            cycles.append(path[path.index(cur):])
+        for node in path:
+            state[node] = 2
+    cycles.sort(key=min)
+    return cycles
+
+
+def tree_problem(heads: Sequence[int | None], whole: bool = True) -> str | None:
+    """Why `heads` is not a dependency tree, or None if it is one.
+
+    heads[i] governs token i+1; 0 is the virtual root. Known heads must be in
+    range and no token may head itself. Unless `whole` is off (heads partly
+    unknown), there must also be exactly one root token and no cycle.
+    """
+    n = len(heads)
+    for i, h in enumerate(heads, start=1):
+        if h is not None and not 0 <= h <= n:
+            return f"head {h} out of range for {n} tokens"
+        if h == i:
+            return f"token {i} is its own head"
+    if not whole:
+        return None
+    roots = sum(h == 0 for h in heads)
+    if roots != 1:
+        return f"expected exactly one root token, found {roots}"
+    cycles = find_cycles(heads)
+    return f"cycle through token {min(cycles[0])}" if cycles else None
+
+
+def read_lines(path: str) -> list[str]:
+    """A UTF-8 file's lines without line ends, split as text mode splits them.
+
+    Bytes that are not UTF-8 raise DataFormatError naming the file and line.
+    """
+    with io.open(path, "rb") as f:
+        raw_bytes = f.read()
+    try:
+        text = raw_bytes.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw_bytes.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
+    return [raw.rstrip("\n") for raw in io.StringIO(text, newline=None)]
 
 
 def _parse_block(lines: list[tuple[int, str]], comments: list[str], fmt: str,
@@ -165,19 +212,15 @@ def _parse_block(lines: list[tuple[int, str]], comments: list[str], fmt: str,
             columns=tuple(cols),
         ))
     where = f"{path}: sentence ending at line {lines[-1][0]}"
+    if not tokens:
+        raise DataFormatError(f"{where}: no word lines, only multiword ranges or empty nodes")
     for pos_i, tok in enumerate(tokens, start=1):
         if tok.index != pos_i:
             raise DataFormatError(f"{where}: token ids not contiguous (saw {tok.index}, expected {pos_i})")
-    n = len(tokens)
-    for tok in tokens:
-        if tok.gold_head is not None and not 0 <= tok.gold_head <= n:
-            raise DataFormatError(f"{where}: head {tok.gold_head} out of range for {n} tokens")
-        if tok.gold_head == tok.index:
-            raise DataFormatError(f"{where}: token {tok.index} is its own head")
-    sent = Sentence(tokens=tokens, comments=comments)
-    if strict:
-        _validate_tree(sent, where)
-    return sent
+    problem = tree_problem([tok.gold_head for tok in tokens], whole=strict)
+    if problem is not None:
+        raise DataFormatError(f"{where}: {problem}")
+    return Sentence(tokens=tokens, comments=comments)
 
 
 def read_conll(path: str, fmt: str = "conllu", strict: bool = True,
@@ -190,16 +233,8 @@ def read_conll(path: str, fmt: str = "conllu", strict: bool = True,
     sentences: list[Sentence] = []
     block: list[tuple[int, str]] = []
     comments: list[str] = []
-    with io.open(path, "rb") as f:
-        raw_bytes = f.read()
-    try:
-        text = raw_bytes.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw_bytes.count(b"\n", 0, exc.start) + 1
-        raise DataFormatError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
-    # newline=None splits lines exactly as reading the file in text mode would
-    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
-        line = raw.rstrip("\n").rstrip("\r")
+    # a blank line after the last one closes the final block
+    for lineno, line in enumerate(read_lines(path) + [""], start=1):
         if not line:
             if block:
                 sentences.append(_parse_block(block, comments, fmt, path, strict, punct))
@@ -209,8 +244,6 @@ def read_conll(path: str, fmt: str = "conllu", strict: bool = True,
             comments.append(line)
             continue
         block.append((lineno, line))
-    if block:
-        sentences.append(_parse_block(block, comments, fmt, path, strict, punct))
     return Treebank(sentences)
 
 

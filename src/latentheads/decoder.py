@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .conll import Sentence
+from .conll import Sentence, find_cycles, tree_problem
 from .errors import ConfigurationError, InvalidInputError
 from .model import EncodedSentence, LhrModel
 
@@ -31,17 +31,9 @@ class DependencyTree:
         return len(self.heads)
 
     def validate(self) -> None:
-        n = len(self.heads)
-        roots = [i for i, h in enumerate(self.heads) if h == 0]
-        if len(roots) != 1:
-            raise InvalidInputError(f"tree must have exactly one root, found {len(roots)}")
-        for i, h in enumerate(self.heads):
-            if not 0 <= h <= n:
-                raise InvalidInputError(f"head {h} out of range")
-            if h == i + 1:
-                raise InvalidInputError(f"token {i + 1} is its own head")
-        if find_cycles(self.heads):
-            raise InvalidInputError("tree contains a cycle")
+        problem = tree_problem(self.heads)
+        if problem is not None:
+            raise InvalidInputError(f"not a dependency tree: {problem}")
 
 
 @dataclass
@@ -92,46 +84,15 @@ def assign_heads(scores: ScoreMatrix, root_token: int) -> DependencyTree:
     n = scores.n
     if not 1 <= root_token <= n:
         raise InvalidInputError(f"root token {root_token} out of range")
-    heads = [0] * n
-    arc_scores = [0.0] * n
+    masked = scores.sim.copy()
+    np.fill_diagonal(masked, -np.inf)
+    best = np.argmax(masked, axis=1)  # first maximum: ties go to the lowest index
+    heads = (best + 1).tolist()
+    arc_scores = masked[np.arange(n), best].tolist()
+    heads[root_token - 1] = 0
     arc_scores[root_token - 1] = float(scores.root_sim[root_token - 1])
-    for i in range(n):
-        if i == root_token - 1:
-            continue
-        row = scores.sim[i].copy()
-        row[i] = -np.inf
-        j = int(np.argmax(row))
-        heads[i] = j + 1
-        arc_scores[i] = float(row[j])
     return DependencyTree(heads=heads, labels=[None] * n, pos=[None] * n,
                           arc_scores=arc_scores)
-
-
-def find_cycles(heads: list[int]) -> list[list[int]]:
-    """Cycles of the head graph as 1-based token lists, by smallest member.
-
-    Following head links from any token either reaches the root (0) or loops;
-    each token has one outgoing arc, so cycles are disjoint.
-    """
-    n = len(heads)
-    state = [0] * (n + 1)  # 0 unvisited, 1 on current walk, 2 done
-    cycles = []
-    for start in range(1, n + 1):
-        if state[start]:
-            continue
-        path = []
-        cur = start
-        while cur != 0 and state[cur] == 0:
-            state[cur] = 1
-            path.append(cur)
-            cur = heads[cur - 1]
-        if cur != 0 and state[cur] == 1:
-            cycle = path[path.index(cur):]
-            cycles.append(cycle)
-        for node in path:
-            state[node] = 2
-    cycles.sort(key=min)
-    return cycles
 
 
 def _creates_cycle(heads: list[int], dependent: int, candidate: int) -> bool:
@@ -169,11 +130,7 @@ def repair_cycles(tree: DependencyTree, scores: ScoreMatrix) -> DependencyTree:
         row = scores.sim[dep - 1]
         order = sorted((j for j in range(1, n + 1) if j != dep),
                        key=lambda j: (-row[j - 1], j))
-        new_head = None
-        for j in order:
-            if not _creates_cycle(heads, dep, j):
-                new_head = j
-                break
+        new_head = next((j for j in order if not _creates_cycle(heads, dep, j)), None)
         if new_head is None:
             new_head = tree.heads.index(0) + 1
         heads[dep - 1] = new_head
@@ -183,7 +140,7 @@ def repair_cycles(tree: DependencyTree, scores: ScoreMatrix) -> DependencyTree:
 
 
 def assign_labels_pos(model: LhrModel, enc: EncodedSentence, tree: DependencyTree,
-                      seen_pairs=None, sentence: Sentence | None = None,
+                      sentence: Sentence | None = None,
                       pos_correction: bool = True) -> DependencyTree:
     """Pick, per token, the (label, POS) pair seen in training that maximizes
     the summed classifier scores for its (dependent, governor) arc.
@@ -191,25 +148,18 @@ def assign_labels_pos(model: LhrModel, enc: EncodedSentence, tree: DependencyTre
     With pos_correction off, the externally predicted tag is kept in the
     output instead of the labeler's choice.
     """
-    if seen_pairs is None:
-        seen_pairs = model.seen_pairs
-        pair_l = model._pair_label_idx
-        pair_p = model._pair_pos_idx
-    else:
-        seen_pairs = [tuple(p) for p in seen_pairs]
-        pair_l = np.array([model.label_vocab.index_of(l) for l, _ in seen_pairs], dtype=int)
-        pair_p = np.array([model.pos_vocab.index_of(p) for _, p in seen_pairs], dtype=int)
-    if len(seen_pairs) == 0:
+    if not model.seen_pairs:
         raise ConfigurationError("no (label, POS) pairs to choose from")
     with nn.no_grad():
         context = enc.context_vectors
         label_scores, pos_scores = model.score_label_pos(
             context, model.governor_vectors(context, tree.heads))
-    combined = label_scores.data[:, pair_l] + pos_scores.data[:, pair_p]
+    combined = (label_scores.data[:, model._pair_label_idx]
+                + pos_scores.data[:, model._pair_pos_idx])
     labels: list[str | None] = []
     pos_tags: list[str | None] = []
     for i, best in enumerate(np.argmax(combined, axis=1)):
-        label, pos = seen_pairs[best]
+        label, pos = model.seen_pairs[best]
         labels.append(label)
         if pos_correction:
             pos_tags.append(pos)

@@ -13,7 +13,7 @@ import struct
 import numpy as np
 
 from . import nn
-from .conll import Treebank
+from .conll import Treebank, read_lines
 from .errors import DataFormatError, InvalidInputError
 from .model import LhrModel
 
@@ -41,27 +41,33 @@ def write_lss_text(model: LhrModel, tb: Treebank, path: str) -> None:
 
 
 def read_lss_text(path: str) -> list[list[tuple[str, np.ndarray]]]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
+    lines = read_lines(path)
+    lineno = 1  # of the line being read
+    try:
+        header = lines[0].split()
         if len(header) != 4 or header[:2] != ["lss", "1"]:
             raise DataFormatError(f"{path} is not a text latent-structure file")
-        n_sentences = int(header[3])
         out = []
-        for _ in range(n_sentences):
-            parts = fh.readline().split()
+        for _ in range(int(header[3])):
+            lineno += 1
+            parts = lines[lineno - 1].split()
             if len(parts) != 6 or parts[0] != "sentence":
-                raise DataFormatError(f"{path}: malformed sentence header {parts!r}")
+                raise DataFormatError(f"{path}:{lineno}: malformed sentence header {parts!r}")
             n_tokens, dim = int(parts[3]), int(parts[5])
             rows = []
             for _ in range(n_tokens):
-                line = fh.readline().rstrip("\n")
-                form, _, floats = line.partition("\t")
+                lineno += 1
+                form, _, floats = lines[lineno - 1].partition("\t")
                 vec = np.array([float(x) for x in floats.split()], dtype=np.float64)
                 if vec.shape[0] != dim:
-                    raise DataFormatError(
-                        f"{path}: token {form!r} has {vec.shape[0]} values, expected {dim}")
+                    raise DataFormatError(f"{path}:{lineno}: token {form!r} has "
+                                          f"{vec.shape[0]} values, expected {dim}")
                 rows.append((form, vec))
             out.append(rows)
+    except IndexError:
+        raise DataFormatError(f"{path}: truncated latent-structure file") from None
+    except ValueError as exc:  # a count or a value that is not a number
+        raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

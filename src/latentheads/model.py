@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .conll import Sentence, Vocabulary
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError
 from .tokens import EncoderConfig, TokenEncoder
 
 
@@ -43,7 +43,6 @@ class ModelConfig:
 class EncodedSentence:
     """One sentence's matrices, one row per token."""
 
-    embeddings: nn.Tensor        # (n, token encoder output size)
     context_vectors: nn.Tensor   # (n, |c|)
     latent_heads: nn.Tensor      # (n, |c|)
 
@@ -99,9 +98,6 @@ class LhrModel:
         self.labeler = LabelerHead(config.context_size, config.labeler_hidden,
                                    len(label_vocab), len(pos_vocab),
                                    config.labeler_softmax, rng)
-
-        if self.head_reducer.out_size != config.context_size:
-            raise ConfigurationError("latent head size must equal context size")
         # precomputed index arrays for the joint label/POS argmax over seen pairs
         self._pair_label_idx = np.array(
             [label_vocab.index_of(l) for l, _ in self.seen_pairs], dtype=int)
@@ -114,12 +110,10 @@ class LhrModel:
 
     def encode_sentence(self, sentence: Sentence, training: bool = False,
                         rng: np.random.Generator | None = None) -> EncodedSentence:
-        if not sentence.tokens:
-            raise InvalidInputError("cannot encode an empty sentence")
         embeddings = self.token_encoder.encode(sentence, training, rng)
         context_vectors = self.context_encoder.encode(embeddings)
         latent_heads = self.head_reducer(self.heads_encoder.encode(context_vectors))
-        return EncodedSentence(embeddings, context_vectors, latent_heads)
+        return EncodedSentence(context_vectors, latent_heads)
 
     def governor_vectors(self, context_vectors: nn.Tensor, heads) -> nn.Tensor:
         """Row i: the context vector of head heads[i] (1-based), the root vector for 0."""
@@ -145,6 +139,3 @@ class LhrModel:
         params.append(("root_vector", self.root_vector))
         params += list(self.labeler.named_parameters("labeler."))
         return params
-
-    def parameters(self) -> list[nn.Parameter]:
-        return [p for _, p in self.named_parameters()]

@@ -82,12 +82,12 @@ class Tensor:
         out._bw = bw
         return out
 
-    def backward(self, retain: bool = False) -> None:
+    def backward(self) -> None:
         """Propagate d(self)/d(param) into every reachable Parameter's grad.
 
-        The loss must be a scalar produced by a recorded forward pass. By
-        default the tape is released afterwards (closures dropped, graph
-        edges cut), so a second backward on the same graph raises.
+        The loss must be a scalar produced by a recorded forward pass. The
+        tape is released afterwards (closures dropped, graph edges cut), so a
+        second backward on the same graph raises.
         """
         if self.data.size != 1:
             raise UsageError(f"backward() expects a scalar loss, got shape {self.shape}")
@@ -117,14 +117,13 @@ class Tensor:
         for node in reversed(topo):
             if node._bw is not None:
                 node._bw()
-        if not retain:
-            for node in topo:
-                if node._bw is not None:
-                    node._bw = None
-                    node._parents = ()
-                    if node is not self:
-                        node.grad = None
-            self._released = True
+        for node in topo:
+            if node._bw is not None:
+                node._bw = None
+                node._parents = ()
+                if node is not self:
+                    node.grad = None
+        self._released = True
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, needs_grad={self.needs_grad})"
@@ -408,14 +407,12 @@ _ACTIVATIONS = ("tanh", "softmax", "identity")
 class DenseLayer:
     """Fully connected layer: activation(W x + b) for a vector or each matrix row."""
 
-    def __init__(self, in_size: int, out_size: int, activation: str = "identity",
-                 rng: np.random.Generator | None = None):
+    def __init__(self, in_size: int, out_size: int, activation: str,
+                 rng: np.random.Generator):
         if in_size < 1 or out_size < 1:
             raise ConfigurationError("DenseLayer sizes must be positive")
         if activation not in _ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {activation!r}")
-        if rng is None:
-            rng = np.random.default_rng()
         self.in_size = in_size
         self.out_size = out_size
         self.activation = activation
@@ -452,12 +449,9 @@ class LstmCell:
 
     GATES = ("input", "forget", "output", "candidate")
 
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         if input_size < 1 or hidden_size < 1:
             raise ConfigurationError("LstmCell sizes must be positive")
-        if rng is None:
-            rng = np.random.default_rng()
         self.input_size = input_size
         self.hidden_size = hidden_size
         h, z = hidden_size, input_size + hidden_size
@@ -539,10 +533,7 @@ class LstmCell:
 class BiEncoder:
     """Two LSTMs reading a sequence in opposite directions, outputs side by side."""
 
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng()
+    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.forward_cell = LstmCell(input_size, hidden_size, rng)
@@ -592,16 +583,10 @@ def adam_step(params: Iterable, lr: float = 0.001, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-8) -> None:
     """One Adam update with bias correction; gradients are reset to zero.
 
-    `params` yields Parameters or (name, Parameter) pairs. Any non-finite
-    gradient fails the whole step before any value changes.
+    `params` yields (name, Parameter) pairs. Any non-finite gradient fails
+    the whole step before any value changes.
     """
-    items: list[tuple[str, Parameter]] = []
-    for i, entry in enumerate(params):
-        if isinstance(entry, Parameter):
-            items.append((f"param{i}", entry))
-        else:
-            name, p = entry
-            items.append((str(name), p))
+    items = list(params)
     for name, p in items:
         if not np.all(np.isfinite(p.grad)):
             raise NonFiniteError(f"non-finite gradient in parameter {name!r}")

@@ -8,6 +8,7 @@ out of scope: load for parsing, evaluation, and export.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import zipfile
 
@@ -35,24 +36,27 @@ def _vocab_from_meta(meta: dict) -> Vocabulary:
                       min_count=meta["min_count"], unknown=meta["unknown"])
 
 
+def _config_from_meta(cls, values, path: str, **nested):
+    """The config dataclass `cls` rebuilt from a dict naming exactly its fields.
+
+    A missing or unknown field raises: no dataclass default may stand in
+    for a value the checkpoint should carry. `nested` maps each field that
+    is itself a config to its class.
+    """
+    fields = {f.name for f in dataclasses.fields(cls)}
+    given = set(values) if isinstance(values, dict) else set()
+    if given != fields:
+        raise CheckpointError(
+            f"{path} meta config does not match {cls.__name__}: missing "
+            f"{sorted(fields - given)}, unknown {sorted(given - fields)}")
+    return cls(**{name: _config_from_meta(nested[name], value, path) if name in nested
+                  else value for name, value in values.items()})
+
+
 def save_model(model: LhrModel, path: str) -> None:
-    cfg = model.config
     meta = {
         "format_version": FORMAT_VERSION,
-        "config": {
-            "context_hidden": cfg.context_hidden,
-            "heads_hidden": cfg.heads_hidden,
-            "labeler_hidden": cfg.labeler_hidden,
-            "labeler_softmax": cfg.labeler_softmax,
-            "encoder": {
-                "word_dim": cfg.encoder.word_dim,
-                "pos_dim": cfg.encoder.pos_dim,
-                "alpha_word_dropout": cfg.encoder.alpha_word_dropout,
-                "mode": cfg.encoder.mode,
-                "char_dim": cfg.encoder.char_dim,
-                "char_hidden": cfg.encoder.char_hidden,
-            },
-        },
+        "config": dataclasses.asdict(model.config),
         "word_vocab": _vocab_meta(model.word_vocab),
         "pos_vocab": _vocab_meta(model.pos_vocab),
         "label_vocab": _vocab_meta(model.label_vocab),
@@ -85,14 +89,7 @@ def load_model(path: str) -> LhrModel:
         raise CheckpointError(
             f"{path} is format version {version!r}, this build reads {FORMAT_VERSION}")
     try:
-        enc_cfg = EncoderConfig(**meta["config"]["encoder"])
-        cfg = ModelConfig(
-            encoder=enc_cfg,
-            context_hidden=meta["config"]["context_hidden"],
-            heads_hidden=meta["config"]["heads_hidden"],
-            labeler_hidden=meta["config"]["labeler_hidden"],
-            labeler_softmax=meta["config"]["labeler_softmax"],
-        )
+        cfg = _config_from_meta(ModelConfig, meta["config"], path, encoder=EncoderConfig)
         word_vocab = _vocab_from_meta(meta["word_vocab"])
         pos_vocab = _vocab_from_meta(meta["pos_vocab"])
         label_vocab = _vocab_from_meta(meta["label_vocab"])

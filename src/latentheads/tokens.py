@@ -52,7 +52,6 @@ class EmbeddingTable:
 
     def __init__(self, vocab: Vocabulary, dim: int, rng: np.random.Generator):
         self.vocab = vocab
-        self.dim = dim
         self.vectors = nn.Parameter(rng.uniform(-0.05, 0.05, size=(len(vocab), dim)))
         self.unknown_index = vocab.unknown_index
 

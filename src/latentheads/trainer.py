@@ -58,6 +58,32 @@ def _gold_head(tok) -> int:
     return tok.gold_head
 
 
+def _reconstruction_targets(model: LhrModel, sentence: Sentence, enc: EncodedSentence,
+                            cfg: TrainConfig, overrides) -> list[tuple]:
+    """(token row, target, live governor row or None) per token the loss keeps.
+
+    Punctuation drops out under skip_punct_heads. A root-governed token
+    targets the root vector, or with root_target "self" its own context
+    vector; any other token targets its gold governor's context vector, whose
+    gradient stays live under rebalance_targets. `overrides` (by token
+    position) replaces a target with a constant.
+    """
+    context = enc.context_vectors.data
+    out = []
+    for i, tok in enumerate(sentence.tokens):
+        if cfg.skip_punct_heads and tok.is_punct:
+            continue
+        g = _gold_head(tok)
+        if i in overrides:
+            out.append((i, overrides[i], None))
+        elif g == 0:
+            out.append((i, context[i] if cfg.root_target == "self" else model.root_vector.data,
+                        None))
+        else:
+            out.append((i, context[g - 1], g - 1 if cfg.rebalance_targets else None))
+    return out
+
+
 def reconstruction_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentence,
                         cfg: TrainConfig, target_overrides=None) -> nn.Tensor:
     """Mean distance between each latent head and its gold governor.
@@ -73,33 +99,18 @@ def reconstruction_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentenc
     constant while parameters are perturbed.
     """
     term_loss = nn.mse_loss if cfg.loss == "mse" else nn.mae_loss
-    context = enc.context_vectors
-    kept: list[int] = []
-    targets: list[np.ndarray] = []
-    live: dict[int, int] = {}  # kept row -> governor row whose gradient stays on
-    for i, tok in enumerate(sentence.tokens):
-        if cfg.skip_punct_heads and tok.is_punct:
-            continue
-        g = _gold_head(tok)
-        if target_overrides is not None and i in target_overrides:
-            target = target_overrides[i]
-        elif g == 0:
-            target = context.data[i] if cfg.root_target == "self" else model.root_vector.data
-        else:
-            target = context.data[g - 1]
-            if cfg.rebalance_targets:
-                live[len(kept)] = g - 1
-        kept.append(i)
-        targets.append(target)
-    if not kept:
+    plan = _reconstruction_targets(model, sentence, enc, cfg, target_overrides or {})
+    if not plan:
         return nn.constant(0.0)
+    rows, targets, governors = zip(*plan)
     target = np.array(targets)
+    live = [k for k, g in enumerate(governors) if g is not None]
     if live:
-        # rows past len(kept) of the table are the live context vectors
-        index = np.arange(len(kept))
-        index[list(live)] = len(kept) + np.array(list(live.values()))
-        target = nn.stack_rows((nn.constant(target), context))[index]
-    return term_loss(enc.latent_heads[np.array(kept)], target)
+        # rows past len(plan) of the table are the live context vectors
+        index = np.arange(len(plan))
+        index[live] = len(plan) + np.array([governors[k] for k in live])
+        target = nn.stack_rows((nn.constant(target), enc.context_vectors))[index]
+    return term_loss(enc.latent_heads[np.array(rows)], target)
 
 
 def capture_targets(model: LhrModel, sentence: Sentence, enc: EncodedSentence,
@@ -111,18 +122,9 @@ def capture_targets(model: LhrModel, sentence: Sentence, enc: EncodedSentence,
     exactly the one the backward pass differentiates, which is the right
     point of comparison for finite differences.
     """
-    frozen: dict[int, np.ndarray] = {}
-    for i, tok in enumerate(sentence.tokens):
-        if cfg.skip_punct_heads and tok.is_punct:
-            continue
-        g = _gold_head(tok)
-        if g == 0:
-            src = enc.context_vectors.data[i] if cfg.root_target == "self" \
-                else model.root_vector.data
-            frozen[i] = src.copy()
-        elif not cfg.rebalance_targets:
-            frozen[i] = enc.context_vectors.data[g - 1].copy()
-    return frozen
+    return {i: target.copy()
+            for i, target, governor in _reconstruction_targets(model, sentence, enc, cfg, {})
+            if governor is None}
 
 
 def labeler_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentence) -> nn.Tensor:
@@ -171,13 +173,15 @@ def sentence_loss(model: LhrModel, sentence: Sentence, cfg: TrainConfig,
 
 
 def train_sentence(model: LhrModel, sentence: Sentence, cfg: TrainConfig,
-                   rng: np.random.Generator, params=None) -> dict:
-    """One gradient step on one sentence; returns the loss breakdown."""
+                   rng: np.random.Generator, params) -> dict:
+    """One gradient step on one sentence; returns the loss breakdown.
+
+    `params` is the model's named_parameters(), taken once per run.
+    """
     total, parts = sentence_loss(model, sentence, cfg, training=True, rng=rng)
     if total.needs_grad:
         total.backward()
-        nn.adam_step(params if params is not None else model.named_parameters(),
-                     lr=cfg.lr)
+        nn.adam_step(params, lr=cfg.lr)
     return parts
 
 

@@ -204,6 +204,16 @@ def test_config_bad_value_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_non_utf8_exits_2_with_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"# fast settings\nepochs = 1\xff\n")
+    code = main(["train", "--train", TRAIN, "--model", "x.npz",
+                 "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: not valid UTF-8" in err and "Traceback" not in err
+
+
 def test_missing_treebank_exits_1(tmp_path, capsys):
     code = main(["train", "--train", str(tmp_path / "absent.conllu"),
                  "--model", "x.npz", *FAST])

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from latentheads import conll
 from latentheads.conll import (PunctuationRule, Token, Treebank, Vocabulary,
                                build_vocabularies, read_conll, write_conll)
+from latentheads.decoder import DependencyTree
 from latentheads.errors import DataFormatError, InvalidInputError
 
 from lhr_testutil import fixture_path
@@ -95,6 +98,14 @@ def test_multiword_and_empty_ids_skipped_in_conllu(tmp_path):
     )
     tb = read_conll(write_file(tmp_path, text))
     assert [t.form for t in tb.sentences[0].tokens] == ["do", "not"]
+
+
+def test_block_of_only_multiword_ranges_reports_its_line(tmp_path):
+    text = "1-2\tdon't\t_\t_\t_\t_\t_\t_\t_\t_\n\n" + TWO_TOKENS
+    path = write_file(tmp_path, text)
+    for strict in (True, False):
+        with pytest.raises(DataFormatError, match=f"^{path}: sentence ending at line 1: "):
+            read_conll(path, strict=strict)
 
 
 def test_conllx_does_not_skip_dashed_ids(tmp_path):
@@ -197,6 +208,26 @@ def test_self_head_and_out_of_range_rejected(tmp_path):
         read_conll(write_file(tmp_path, "1\ta\t_\tX\tX\t_\t1\tdep\t_\t_\n"))
     with pytest.raises(DataFormatError):
         read_conll(write_file(tmp_path, "1\ta\t_\tX\tX\t_\t5\tdep\t_\t_\n"))
+
+
+def test_strict_reader_and_tree_validate_accept_the_same_head_lists(tmp_path):
+    """Every head list of up to 4 tokens, heads from -1 to n+1: one tree rule."""
+    path = tmp_path / "heads.conllu"
+    for n in range(1, 5):
+        for heads in itertools.product(range(-1, n + 2), repeat=n):
+            path.write_text("".join(f"{i}\tw\t_\tX\tX\t_\t{h}\tdep\t_\t_\n"
+                                    for i, h in enumerate(heads, start=1)))
+            try:
+                read_conll(str(path))
+                read_ok = True
+            except DataFormatError:
+                read_ok = False
+            try:
+                DependencyTree(list(heads), [None] * n, [None] * n, [0.0] * n).validate()
+                tree_ok = True
+            except InvalidInputError:
+                tree_ok = False
+            assert read_ok == tree_ok, heads
 
 
 def test_non_contiguous_ids_rejected(tmp_path):

@@ -8,9 +8,10 @@ from latentheads.decoder import (DependencyTree, ScoreMatrix, assign_heads,
                                  assign_labels_pos, build_scores, find_cycles,
                                  parse, repair_cycles, select_root)
 from latentheads.errors import InvalidInputError
-from latentheads.model import EncodedSentence
+from latentheads.conll import build_vocabularies
+from latentheads.model import EncodedSentence, LhrModel
 
-from lhr_testutil import make_sentence, make_treebank, tiny_model
+from lhr_testutil import make_sentence, make_treebank, tiny_config, tiny_model
 
 
 def scores_from(sim, root_sim):
@@ -20,7 +21,6 @@ def scores_from(sim, root_sim):
 
 def enc_from_rows(context_rows, latent_rows):
     return EncodedSentence(
-        embeddings=None,
         context_vectors=nn.Tensor(np.asarray(context_rows, dtype=float)),
         latent_heads=nn.Tensor(np.asarray(latent_rows, dtype=float)),
     )
@@ -109,6 +109,15 @@ def test_assign_heads_tie_breaks_to_lowest_index():
     assert tree.heads == [0, 1, 1]
 
 
+def test_assign_heads_never_picks_own_context_vector():
+    sim = [[0.9, 0.1, 0.2],
+           [0.3, 1.0, 0.3],
+           [0.5, 0.4, 1.0]]
+    tree = assign_heads(scores_from(sim, [0.1, 0.9, 0.0]), 2)
+    assert tree.heads == [3, 0, 1]
+    assert tree.arc_scores == [0.2, 0.9, 0.5]
+
+
 def test_root_token_out_of_range_rejected():
     with pytest.raises(InvalidInputError):
         assign_heads(scores_from(np.zeros((2, 2)), [0.1, 0.2]), 3)
@@ -192,6 +201,12 @@ def test_tree_validate_rejects_bad_trees():
 
 # ---------------------------------------------------------- assign_labels_pos
 
+def model_with_pairs(tb, seen_pairs):
+    """A tiny model of `tb` whose labeler may choose only `seen_pairs`."""
+    wv, pv, lv, _ = build_vocabularies(tb)
+    return LhrModel(wv, pv, lv, seen_pairs, tiny_config())
+
+
 def fixed_score_model(model, label_scores, pos_scores):
     def stub(dep, gov):
         rows = (len(dep), 1)
@@ -203,22 +218,24 @@ def fixed_score_model(model, label_scores, pos_scores):
 
 def test_singleton_pair_labels_everything():
     rng = np.random.default_rng(1)
-    m = tiny_model(make_treebank(6, rng))
+    m = model_with_pairs(make_treebank(6, rng), [("root", "V")])
     s = make_sentence(3, rng)
     enc = m.encode_sentence(s)
     tree = DependencyTree([0, 1, 1], [None] * 3, [None] * 3, [0.0] * 3)
-    out = assign_labels_pos(m, enc, tree, seen_pairs=[("root", "V")])
+    out = assign_labels_pos(m, enc, tree)
     assert out.labels == ["root"] * 3
     assert out.pos == ["V"] * 3
 
 
 def test_joint_score_sums_label_and_pos():
     rng = np.random.default_rng(2)
-    m = tiny_model(make_treebank(6, rng))
-    labels = list(m.label_vocab.symbols)
-    pos = list(m.pos_vocab.symbols)
+    tb = make_treebank(6, rng)
+    _, pos_vocab, label_vocab, _ = build_vocabularies(tb)
+    labels = list(label_vocab.symbols)
+    pos = list(pos_vocab.symbols)
     a, b = labels[0], labels[1]
     x, y = pos[0], pos[1]
+    m = model_with_pairs(tb, [(a, x), (b, y)])
     label_scores = np.zeros(len(labels))
     pos_scores = np.zeros(len(pos))
     label_scores[0], pos_scores[0] = 0.9, 0.1   # pair (a, x) sums to 1.0
@@ -228,16 +245,19 @@ def test_joint_score_sums_label_and_pos():
     rows = np.eye(2, m.context_size)
     enc = enc_from_rows(rows, rows)
     tree = DependencyTree([0, 1], [None] * 2, [None] * 2, [0.0] * 2)
-    out = assign_labels_pos(m, enc, tree, seen_pairs=[(a, x), (b, y)])
+    out = assign_labels_pos(m, enc, tree)
     assert out.labels == [b, b]
     assert out.pos == [y, y]
 
 
 def test_unseen_argmax_pair_is_never_chosen():
     rng = np.random.default_rng(3)
-    m = tiny_model(make_treebank(6, rng))
-    labels = list(m.label_vocab.symbols)
-    pos = list(m.pos_vocab.symbols)
+    tb = make_treebank(6, rng)
+    _, pos_vocab, label_vocab, _ = build_vocabularies(tb)
+    labels = list(label_vocab.symbols)
+    pos = list(pos_vocab.symbols)
+    seen = [(labels[0], pos[0]), (labels[1], pos[1])]
+    m = model_with_pairs(tb, seen)
     label_scores = np.zeros(len(labels))
     pos_scores = np.zeros(len(pos))
     label_scores[0] = 5.0   # unconstrained best label
@@ -246,8 +266,7 @@ def test_unseen_argmax_pair_is_never_chosen():
     rows = np.eye(1, m.context_size)
     enc = enc_from_rows(rows, rows)
     tree = DependencyTree([0], [None], [None], [0.0])
-    seen = [(labels[0], pos[0]), (labels[1], pos[1])]
-    out = assign_labels_pos(m, enc, tree, seen_pairs=seen)
+    out = assign_labels_pos(m, enc, tree)
     assert (out.labels[0], out.pos[0]) in seen
     assert (out.labels[0], out.pos[0]) == (labels[0], pos[0])  # 5.0 beats 5.0 via sort order
 

@@ -120,6 +120,32 @@ def test_text_reader_rejects_malformed_sentence_header(tmp_path):
         export.read_lss_text(str(path))
 
 
+def test_text_reader_rejects_bad_count_with_line(tmp_path):
+    path = tmp_path / "bad.lss"
+    path.write_text("lss 1 sentences x\n")
+    with pytest.raises(DataFormatError, match=f"^{path}:1: "):
+        export.read_lss_text(str(path))
+
+
+def test_text_reader_rejects_bad_float_with_line(tmp_path):
+    path = tmp_path / "bad.lss"
+    path.write_text("lss 1 sentences 1\n"
+                    "sentence 0 tokens 2 dim 2\n"
+                    "word\t1.0 2.0\n"
+                    "word\t1.0 two\n")
+    with pytest.raises(DataFormatError, match=f"^{path}:4: "):
+        export.read_lss_text(str(path))
+
+
+def test_text_reader_rejects_non_utf8_with_line(tmp_path):
+    path = tmp_path / "bad.lss"
+    path.write_bytes(b"lss 1 sentences 1\n"
+                     b"sentence 0 tokens 1 dim 1\n"
+                     b"w\xffrd\t1.0\n")
+    with pytest.raises(DataFormatError, match=f"^{path}:3: not valid UTF-8"):
+        export.read_lss_text(str(path))
+
+
 def test_text_reader_rejects_wrong_vector_width(tmp_path):
     path = tmp_path / "bad.lss"
     path.write_text("lss 1 sentences 1\n"

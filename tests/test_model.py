@@ -112,7 +112,6 @@ def test_named_parameters_are_unique_and_complete(model):
     assert any(n.startswith("context_encoder.") for n in names)
     assert any(n.startswith("heads_encoder.") for n in names)
     assert any(n.startswith("labeler.") for n in names)
-    assert len(model.parameters()) == len(names)
 
 
 def test_word_char_mode_has_char_parameters():

@@ -45,11 +45,12 @@ def test_dense_single_row_tanh():
 
 
 def test_dense_rejects_bad_activation_and_size():
+    rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
-        nn.DenseLayer(2, 2, "relu")
+        nn.DenseLayer(2, 2, "relu", rng)
     with pytest.raises(ConfigurationError):
-        nn.DenseLayer(0, 2)
-    layer = nn.DenseLayer(3, 2, rng=np.random.default_rng(0))
+        nn.DenseLayer(0, 2, "identity", rng)
+    layer = nn.DenseLayer(3, 2, "identity", rng)
     with pytest.raises(ConfigurationError):
         layer(tensor([1.0, 2.0]))
 
@@ -272,14 +273,14 @@ def test_dense_chain_matches_finite_differences():
 def test_adam_zero_gradient_leaves_values():
     p = nn.Parameter(np.array([1.0, -2.0]))
     before = p.data.copy()
-    nn.adam_step([p])
+    nn.adam_step([("p", p)])
     assert np.array_equal(p.data, before)
 
 
 def test_adam_first_step_size_is_learning_rate():
     p = nn.Parameter(np.array([5.0]))
     p.grad[...] = 1.0
-    nn.adam_step([p], lr=0.001)
+    nn.adam_step([("p", p)], lr=0.001)
     assert abs((5.0 - p.data[0]) - 0.001) < 1e-6
     assert p.step_count == 1
     assert np.array_equal(p.grad, np.zeros(1))
@@ -290,7 +291,7 @@ def test_adam_descends_on_quadratic():
     values = [1.0]
     for _ in range(10):
         p.grad[...] = 2.0 * p.data
-        nn.adam_step([p], lr=0.05)
+        nn.adam_step([("p", p)], lr=0.05)
         values.append(float(p.data[0]))
     assert all(b < a for a, b in zip(values, values[1:]))
     assert 0.0 < values[-1] < 1.0
@@ -372,8 +373,7 @@ def test_nll_gradient_matches_finite_differences():
 # The decoder's normalized score matrix is the package's one cosine.
 
 def cosine(a, b) -> float:
-    enc = EncodedSentence(embeddings=None, context_vectors=tensor([b]),
-                          latent_heads=tensor([a]))
+    enc = EncodedSentence(context_vectors=tensor([b]), latent_heads=tensor([a]))
     return float(decoder.build_scores(enc, np.ones(len(a))).sim[0, 0])
 
 

@@ -138,6 +138,29 @@ def test_meta_missing_fields_raises(model, tmp_path):
         serialize.load_model(str(dst))
 
 
+@pytest.mark.parametrize("where, key", [
+    ("top", "dropout"),         # unknown model field
+    ("encoder", "dropout"),     # unknown encoder field
+    ("encoder", "-char_dim"),   # missing encoder field: no default fills it in
+    ("top", "-heads_hidden"),   # missing model field
+])
+def test_meta_config_must_name_exactly_the_config_fields(model, tmp_path, where, key):
+    src = tmp_path / "m.npz"
+    dst = tmp_path / "odd.npz"
+    serialize.save_model(model, str(src))
+
+    def change(meta):
+        cfg = meta["config"] if where == "top" else meta["config"]["encoder"]
+        if key.startswith("-"):
+            del cfg[key[1:]]
+        else:
+            cfg[key] = 0.5
+
+    rewrite_meta(src, dst, change)
+    with pytest.raises(CheckpointError, match=f"{key.lstrip('-')}"):
+        serialize.load_model(str(dst))
+
+
 def test_dropped_parameter_raises(model, tmp_path):
     src = tmp_path / "m.npz"
     dst = tmp_path / "short.npz"

@@ -65,7 +65,6 @@ def test_exact_reconstruction_gives_zero_loss(toy):
     enc = model.encode_sentence(s)
     # hand the gold targets back as the latent heads
     rigged = EncodedSentence(
-        embeddings=enc.embeddings,
         context_vectors=enc.context_vectors,
         latent_heads=nn.Tensor(np.stack([
             enc.context_vectors.data[1],
