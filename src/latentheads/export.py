@@ -75,12 +75,16 @@ def write_lss_binary(model: LhrModel, tb: Treebank, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(tb.sentences)))
-        for sent in tb.sentences:
+        for k, sent in enumerate(tb.sentences):
             rows = sentence_vectors(model, sent)
             dim = rows[0][1].shape[0]
             fh.write(struct.pack("<II", len(rows), dim))
-            for form, vec in rows:
+            for j, (form, vec) in enumerate(rows):
                 raw = form.encode("utf-8")
+                if len(raw) > 0xFFFF:
+                    raise InvalidInputError(
+                        f"sentence {k} token {j}: form is {len(raw)} UTF-8 bytes, "
+                        "the binary latent-structure format holds at most 65535")
                 fh.write(struct.pack("<H", len(raw)))
                 fh.write(raw)
                 fh.write(vec.astype("<f8", copy=False).tobytes())
@@ -98,12 +102,16 @@ def read_lss_binary(path: str) -> list[list[tuple[str, np.ndarray]]]:
             raise DataFormatError(f"{path} is not a binary latent-structure file")
         (n_sentences,) = struct.unpack("<I", take(fh, 4))
         out = []
-        for _ in range(n_sentences):
+        for k in range(n_sentences):
             n_tokens, dim = struct.unpack("<II", take(fh, 8))
             rows = []
-            for _ in range(n_tokens):
+            for j in range(n_tokens):
                 (form_len,) = struct.unpack("<H", take(fh, 2))
-                form = take(fh, form_len).decode("utf-8")
+                try:
+                    form = take(fh, form_len).decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataFormatError(f"{path}: sentence {k} token {j}: form is not "
+                                          f"valid UTF-8 ({exc.reason})") from None
                 vec = np.frombuffer(take(fh, 8 * dim), dtype="<f8").astype(np.float64)
                 rows.append((form, vec))
             out.append(rows)

@@ -1,10 +1,12 @@
 """Minimal trainable neural toolkit: tape-based autodiff over sentence matrices.
 
 Everything is float64. The unit of work is one sentence as an (n, d) matrix,
-one row per token; layers and losses take the whole matrix at once. Each
-operation returns a `Tensor` wired to its inputs, so one `backward()` call on
-a scalar loss accumulates gradients into every reachable `Parameter`. A
-bidirectional LSTM is a single tape node per sequence whose backward is
+one row per token; layers and losses take the whole matrix at once. Each op
+returns `_record(value, inputs, bw)`, where `bw(grad)` turns the result's
+gradient into its inputs' gradients; `_record` alone decides whether the op
+goes on the tape (grad enabled and some input needing grad). One `backward()`
+call on a scalar loss accumulates gradients into every reachable `Parameter`.
+A bidirectional LSTM is a single tape node per sequence whose backward is
 hand-written backpropagation through time. Inference code should run under
 `no_grad()` to skip tape construction entirely.
 """
@@ -43,7 +45,11 @@ class no_grad:
 
 
 class Tensor:
-    """A float64 array plus an optional backward closure on the tape."""
+    """A float64 array plus, when recorded, its inputs and backward closure.
+
+    `backward` calls `node._bw(node.grad)` once the node's gradient is whole;
+    the closure adds into the `grad` of the `_parents` that need grad.
+    """
 
     __slots__ = ("data", "grad", "needs_grad", "_parents", "_bw", "_released")
 
@@ -69,18 +75,12 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         """numpy indexing (rows, slices, index arrays) recorded on the tape."""
-        out_data = self.data[key]
-        if not (_grad_enabled and self.needs_grad):
-            return Tensor(out_data)
-        out = Tensor(out_data, (self,), None, True)
-
-        def bw():
+        def bw(g):
             if self.grad is None:
                 self.grad = np.zeros_like(self.data)
-            np.add.at(self.grad, key, out.grad)
+            np.add.at(self.grad, key, g)
 
-        out._bw = bw
-        return out
+        return _record(self.data[key], (self,), bw)
 
     def backward(self) -> None:
         """Propagate d(self)/d(param) into every reachable Parameter's grad.
@@ -103,20 +103,16 @@ class Tensor:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
-                continue
-            nid = id(node)
-            if nid in visited:
-                continue
-            visited.add(nid)
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.needs_grad and id(parent) not in visited:
-                    stack.append((parent, False))
+            elif id(node) not in visited:
+                visited.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in node._parents
+                             if p.needs_grad and id(p) not in visited)
 
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._bw is not None:
-                node._bw()
+                node._bw(node.grad)
         for node in topo:
             if node._bw is not None:
                 node._bw = None
@@ -146,6 +142,13 @@ class Parameter(Tensor):
         self.step_count = 0
 
 
+def _record(data, parents: tuple, bw) -> Tensor:
+    """The op's result, on the tape if grad is on and some parent needs grad."""
+    if _grad_enabled and any(p.needs_grad for p in parents):
+        return Tensor(data, parents, bw, True)
+    return Tensor(data)
+
+
 def _acc(t: Tensor, g: np.ndarray, own: bool = False) -> None:
     # own=True means g is a fresh array the closure built and may hand over.
     if t.grad is None:
@@ -161,31 +164,19 @@ def constant(data) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ConfigurationError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    out_data = a.data + b.data
-    if not (_grad_enabled and (a.needs_grad or b.needs_grad)):
-        return Tensor(out_data)
-    out = Tensor(out_data, (a, b), None, True)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if a.needs_grad:
             _acc(a, g)
         if b.needs_grad:
             _acc(b, g)
 
-    out._bw = bw
-    return out
+    return _record(a.data + b.data, (a, b), bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w.T + b for x of shape (in,) or (n, in) and w of shape (out, in)."""
-    out_data = x.data @ w.data.T + b.data
-    if not (_grad_enabled and (x.needs_grad or w.needs_grad or b.needs_grad)):
-        return Tensor(out_data)
-    out = Tensor(out_data, (x, w, b), None, True)
-
-    def bw():
-        g = out.grad
+    def bw(g):
         rows = g.reshape(-1, g.shape[-1])
         if w.needs_grad:
             _acc(w, rows.T @ x.data.reshape(rows.shape[0], -1), own=True)
@@ -194,21 +185,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if x.needs_grad:
             _acc(x, g @ w.data, own=True)
 
-    out._bw = bw
-    return out
+    return _record(x.data @ w.data.T + b.data, (x, w, b), bw)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Join along the last axis: vectors end to end, matrices side by side."""
     if not parts:
         raise InvalidInputError("concat of an empty sequence")
-    out_data = np.concatenate([p.data for p in parts], axis=-1)
-    if not (_grad_enabled and any(p.needs_grad for p in parts)):
-        return Tensor(out_data)
-    out = Tensor(out_data, tuple(parts), None, True)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         off = 0
         for p in parts:
             n = p.data.shape[-1]
@@ -216,21 +201,15 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
                 _acc(p, g[..., off:off + n])
             off += n
 
-    out._bw = bw
-    return out
+    return _record(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), bw)
 
 
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
     """Stack matrices on top of each other; a vector counts as one row."""
     if not parts:
         raise InvalidInputError("stack_rows of an empty sequence")
-    out_data = np.vstack([p.data for p in parts])
-    if not (_grad_enabled and any(p.needs_grad for p in parts)):
-        return Tensor(out_data)
-    out = Tensor(out_data, tuple(parts), None, True)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         off = 0
         for p in parts:
             n = 1 if p.data.ndim == 1 else p.data.shape[0]
@@ -238,21 +217,16 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
                 _acc(p, g[off:off + n].reshape(p.data.shape))
             off += n
 
-    out._bw = bw
-    return out
+    return _record(np.vstack([p.data for p in parts]), tuple(parts), bw)
 
 
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
-    if not (_grad_enabled and x.needs_grad):
-        return Tensor(t)
-    out = Tensor(t, (x,), None, True)
 
-    def bw():
-        _acc(x, out.grad * (1.0 - t * t), own=True)
+    def bw(g):
+        _acc(x, g * (1.0 - t * t), own=True)
 
-    out._bw = bw
-    return out
+    return _record(t, (x,), bw)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -260,57 +234,37 @@ def softmax(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
-    if not (_grad_enabled and x.needs_grad):
-        return Tensor(p)
-    out = Tensor(p, (x,), None, True)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         _acc(x, p * (g - (g * p).sum(axis=-1, keepdims=True)), own=True)
 
-    out._bw = bw
-    return out
+    return _record(p, (x,), bw)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
-    out_data = x.data * factor
-    if not (_grad_enabled and x.needs_grad):
-        return Tensor(out_data)
-    out = Tensor(out_data, (x,), None, True)
+    def bw(g):
+        _acc(x, g * factor, own=True)
 
-    def bw():
-        _acc(x, out.grad * factor, own=True)
-
-    out._bw = bw
-    return out
-
-
-def _target_data(target) -> np.ndarray:
-    return target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
+    return _record(x.data * factor, (x,), bw)
 
 
 def _mean_distance(pred: Tensor, target, name: str, total, slope) -> Tensor:
-    tdata = _target_data(target)
+    tdata = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
     if pred.data.shape != tdata.shape:
         raise InvalidInputError(f"{name}: length mismatch {pred.shape} vs {tdata.shape}")
     d = pred.data - tdata
     n = d.size
-    out_data = np.asarray(total(d) / n)
     target_tracked = isinstance(target, Tensor) and target.needs_grad
-    if not (_grad_enabled and (pred.needs_grad or target_tracked)):
-        return Tensor(out_data)
-    parents = (pred, target) if target_tracked else (pred,)
-    out = Tensor(out_data, parents, None, True)
 
-    def bw():
-        g = slope(d) * (out.grad / n)
+    def bw(out_grad):
+        g = slope(d) * (out_grad / n)
         if pred.needs_grad:
             _acc(pred, g, own=True)
         if target_tracked:
             _acc(target, -g, own=True)
 
-    out._bw = bw
-    return out
+    parents = (pred, target) if target_tracked else (pred,)
+    return _record(np.asarray(total(d) / n), parents, bw)
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:
@@ -356,20 +310,15 @@ def margin_loss(scores: Tensor, gold) -> Tensor:
     best_other = np.argmax(masked, axis=1)
     margins = 1.0 - s[rows, gold] + s[rows, best_other]
     active = (margins > 0.0) & (k > 1)
-    value = np.asarray(margins[active].sum() / n)
-    if not (_grad_enabled and scores.needs_grad):
-        return Tensor(value)
-    out = Tensor(value, (scores,), None, True)
 
-    def bw():
-        c = out.grad / n
+    def bw(out_grad):
+        c = out_grad / n
         g = np.zeros_like(s)
         g[rows[active], gold[active]] = -c
         g[rows[active], best_other[active]] = c
         _acc(scores, g.reshape(scores.data.shape), own=True)
 
-    out._bw = bw
-    return out
+    return _record(np.asarray(margins[active].sum() / n), (scores,), bw)
 
 
 def nll_loss(probs: Tensor, gold) -> Tensor:
@@ -382,18 +331,13 @@ def nll_loss(probs: Tensor, gold) -> Tensor:
     n = p.shape[0]
     rows = np.arange(n)
     pg = np.maximum(p[rows, gold], 1e-30)
-    value = np.asarray(-np.log(pg).sum() / n)
-    if not (_grad_enabled and probs.needs_grad):
-        return Tensor(value)
-    out = Tensor(value, (probs,), None, True)
 
-    def bw():
+    def bw(out_grad):
         g = np.zeros_like(p)
-        g[rows, gold] = -out.grad / (n * pg)
+        g[rows, gold] = -out_grad / (n * pg)
         _acc(probs, g.reshape(probs.data.shape), own=True)
 
-    out._bw = bw
-    return out
+    return _record(np.asarray(-np.log(pg).sum() / n), (probs,), bw)
 
 
 def glorot_uniform(rng: np.random.Generator, out_size: int, in_size: int) -> np.ndarray:
@@ -538,6 +482,7 @@ class BiEncoder:
         self.hidden_size = hidden_size
         self.forward_cell = LstmCell(input_size, hidden_size, rng)
         self.reverse_cell = LstmCell(input_size, hidden_size, rng)
+        self._params = tuple(p for _, p in self.named_parameters())
 
     @property
     def output_size(self) -> int:
@@ -557,22 +502,15 @@ class BiEncoder:
             raise InvalidInputError("BiEncoder.encode on an empty sequence")
         fwd, fwd_cache = self.forward_cell.run(x.data)
         rev, rev_cache = self.reverse_cell.run(x.data[::-1])
-        out_data = np.hstack((fwd, rev[::-1]))
-        if not _grad_enabled:
-            return Tensor(out_data)
-        params = tuple(p for _, p in self.named_parameters())
-        out = Tensor(out_data, (x,) + params, None, True)
         h = self.hidden_size
 
-        def bw():
-            g = out.grad
+        def bw(g):
             dx = self.forward_cell.backprop(fwd_cache, g[:, :h], x.needs_grad)
             dx_rev = self.reverse_cell.backprop(rev_cache, g[::-1, h:], x.needs_grad)
             if x.needs_grad:
                 _acc(x, dx + dx_rev[::-1], own=True)
 
-        out._bw = bw
-        return out
+        return _record(np.hstack((fwd, rev[::-1])), (x,) + self._params, bw)
 
     def named_parameters(self, prefix: str = ""):
         yield from self.forward_cell.named_parameters(prefix + "forward.")

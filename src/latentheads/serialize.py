@@ -71,11 +71,12 @@ def save_model(model: LhrModel, path: str) -> None:
 
 def load_model(path: str) -> LhrModel:
     try:
-        archive = np.load(path, allow_pickle=False)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise CheckpointError(f"cannot read checkpoint {path}: not an .npz archive")
-        with archive:
-            arrays = {name: archive[name] for name in archive.files}
+        with open(path, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise CheckpointError(f"cannot read checkpoint {path}: not an .npz archive")
+            with archive:
+                arrays = {name: archive[name] for name in archive.files}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if "meta" not in arrays:

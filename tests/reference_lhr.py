@@ -28,9 +28,7 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
 
 def _node(data, parents, bw_fn) -> Tensor:
     """A recorded node whose backward calls bw_fn(out_grad)."""
-    out = Tensor(data, tuple(parents), None, True)
-    out._bw = lambda: bw_fn(out.grad)
-    return out
+    return Tensor(data, tuple(parents), bw_fn, True)
 
 
 def add(a, b):

@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +154,22 @@ def test_export_lss_round_trips(trained, tmp_path):
     assert all(vec.shape[0] == dim for sent in payload for _, vec in sent)
 
 
+def test_export_lss_binary_rejects_overlong_form(trained, tmp_path, capsys):
+    lines = Path(DEV).read_text(encoding="utf-8").split("\n")
+    first = next(i for i, line in enumerate(lines) if line.startswith("1\t"))
+    cols = lines[first].split("\t")
+    cols[1] = "x" * 70000
+    lines[first] = "\t".join(cols)
+    src = tmp_path / "long.conllu"
+    src.write_text("\n".join(lines), encoding="utf-8")
+    code = main(["export-lss", "--model", trained, "--input", str(src),
+                 "--output", str(tmp_path / "out.bin"), "--lss-format", "binary"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sentence 0 token 0: form is 70000 UTF-8 bytes")
+    assert "Traceback" not in err
+
+
 def test_config_file_sets_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# fast settings\nepochs = 1\nword-dim = 8\npos-dim = 4\n"
@@ -231,7 +248,7 @@ def test_corrupt_checkpoint_exits_1(tmp_path, capsys):
 
 def test_truncated_checkpoint_exits_1(trained, tmp_path, capsys):
     cut = tmp_path / "cut.npz"
-    raw = open(trained, "rb").read()
+    raw = Path(trained).read_bytes()
     cut.write_bytes(raw[:len(raw) // 2])
     code = main(["parse", "--model", str(cut), "--input", DEV])
     assert code == 1
@@ -255,7 +272,7 @@ def test_non_finite_checkpoint_exits_1(trained, tmp_path, capsys):
 
 
 def test_non_utf8_treebank_exits_1(trained, tmp_path, capsys):
-    raw = open(DEV, "rb").read().replace(b"\t", b"\xff\t", 1)
+    raw = Path(DEV).read_bytes().replace(b"\t", b"\xff\t", 1)
     bad = tmp_path / "latin1.conllu"
     bad.write_bytes(raw)
     code = main(["parse", "--model", trained, "--input", str(bad)])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -59,7 +60,7 @@ def test_identity_copy_preserves_bytes(tmp_path, toy_train):
     src = fixture_path("toy_train.conllu")
     out = tmp_path / "copy.conllu"
     write_conll(toy_train, None, str(out))
-    assert out.read_text(encoding="utf-8") == open(src, encoding="utf-8").read()
+    assert out.read_text(encoding="utf-8") == Path(src).read_text(encoding="utf-8")
 
 
 def test_write_predictions_round_trip_heads(tmp_path):
@@ -135,12 +136,12 @@ def test_comments_are_preserved(tmp_path):
     assert tb.sentences[0].comments == ["# sent_id = 1", "# text = dog barks"]
     out = tmp_path / "c.conllu"
     write_conll(tb, None, str(out))
-    assert open(str(out), encoding="utf-8").read() == text
+    assert out.read_text(encoding="utf-8") == text
 
 
 def non_utf8_copy(tmp_path, name="toy_dev.conllu", line=8):
     """A copy of a fixture with a 0xff byte at the end of the form on `line`."""
-    lines = open(fixture_path(name), "rb").read().split(b"\n")
+    lines = Path(fixture_path(name)).read_bytes().split(b"\n")
     cols = lines[line - 1].split(b"\t")
     cols[1] += b"\xff"
     lines[line - 1] = b"\t".join(cols)

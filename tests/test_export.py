@@ -95,6 +95,23 @@ def test_forms_survive_non_ascii(model, bank, tmp_path):
             tok.form = form
 
 
+def test_binary_writer_rejects_form_over_65535_bytes(model, bank, tmp_path):
+    k = len(bank.sentences) - 1
+    tok = bank.sentences[k].tokens[-1]
+    j = len(bank.sentences[k].tokens) - 1
+    saved = tok.form
+    try:
+        tok.form = "é" * 40000  # 80000 UTF-8 bytes
+        with pytest.raises(InvalidInputError,
+                           match=f"^sentence {k} token {j}: form is 80000 UTF-8 bytes"):
+            export.export_lss(model, bank, str(tmp_path / "long.bin"), fmt="binary")
+        tok.form = "x" * 65535  # the longest form the record layout holds
+        export.export_lss(model, bank, str(tmp_path / "edge.bin"), fmt="binary")
+        assert export.read_lss_binary(str(tmp_path / "edge.bin"))[k][j][0] == tok.form
+    finally:
+        tok.form = saved
+
+
 def test_empty_treebank_rejected(model, tmp_path):
     from latentheads.conll import Treebank
     with pytest.raises(InvalidInputError, match="empty"):
@@ -170,3 +187,12 @@ def test_binary_reader_rejects_truncation(model, bank, tmp_path):
     cut.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(DataFormatError, match="truncated"):
         export.read_lss_binary(str(cut))
+
+
+def test_binary_reader_rejects_non_utf8_form(tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"LSS1" + struct.pack("<I", 1) + struct.pack("<II", 1, 1)
+                     + struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<d", 0.5))
+    with pytest.raises(DataFormatError,
+                       match=f"^{path}: sentence 0 token 0: form is not valid UTF-8"):
+        export.read_lss_binary(str(path))

@@ -193,12 +193,49 @@ def test_biencoder_gradients_match_finite_differences():
         assert max_relative_error(p.grad, fd) < 1e-6
 
 
-def test_no_grad_encoder_records_nothing():
-    enc = nn.BiEncoder(2, 3, np.random.default_rng(0))
-    x = nn.Parameter(np.ones((4, 2)))
-    with nn.no_grad():
-        out = enc.encode(x)
-    assert not out.needs_grad and out._bw is None and out._parents == ()
+def _encode(x):
+    enc = nn.BiEncoder(3, 2, np.random.default_rng(0))
+    for _, p in enc.named_parameters():
+        p.needs_grad = x.needs_grad  # the weights are inputs too: frozen with x
+    return enc.encode(x)
+
+
+# (name, op, input shapes); the first input is the one that may be tracked
+RECORDING_OPS = [
+    ("Tensor.__getitem__", lambda x: x[[2, 0, 2]], [(3, 2)]),
+    ("add", nn.add, [(2, 3), (2, 3)]),
+    ("linear", nn.linear, [(2, 3), (4, 3), (4,)]),
+    ("concat", lambda a, b: nn.concat([a, b]), [(2, 3), (2, 1)]),
+    ("stack_rows", lambda a, b: nn.stack_rows([a, b]), [(3,), (2, 3)]),
+    ("tanh", nn.tanh, [(2, 3)]),
+    ("softmax", nn.softmax, [(2, 3)]),
+    ("scale", lambda x: nn.scale(x, 0.5), [(2, 3)]),
+    ("mse_loss", nn.mse_loss, [(2, 3), (2, 3)]),
+    ("mae_loss", nn.mae_loss, [(2, 3), (2, 3)]),
+    ("margin_loss", lambda s: nn.margin_loss(s, [0, 2]), [(2, 3)]),
+    ("nll_loss", lambda p: nn.nll_loss(p, [1, 2]), [(2, 3)]),
+    ("BiEncoder.encode", _encode, [(4, 3)]),
+]
+
+
+@pytest.mark.parametrize("mode", ["no_grad", "untracked", "tracked"])
+@pytest.mark.parametrize("op,shapes", [case[1:] for case in RECORDING_OPS],
+                         ids=[case[0] for case in RECORDING_OPS])
+def test_op_records_only_with_grad_on_and_a_tracked_input(op, shapes, mode):
+    rng = np.random.default_rng(0)
+    inputs = [nn.Tensor(rng.uniform(0.1, 1.0, size=shape)) for shape in shapes]
+    if mode != "untracked":
+        inputs[0] = nn.Parameter(inputs[0].data)
+    if mode == "no_grad":
+        with nn.no_grad():
+            out = op(*inputs)
+    else:
+        out = op(*inputs)
+    if mode == "tracked":
+        assert out.needs_grad and out._bw is not None
+        assert any(p is inputs[0] for p in out._parents)
+    else:
+        assert not out.needs_grad and out._bw is None and out._parents == ()
 
 
 # ------------------------------------------------------------------- backward

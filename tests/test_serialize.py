@@ -3,6 +3,7 @@
 import hashlib
 import json
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,7 +246,7 @@ def test_checkpoint_from_earlier_build_parses_unchanged(tmp_path):
     dev = conll.read_conll(fixture_path("toy_dev.conllu"), strict=False)
     out = tmp_path / "parsed.conllu"
     conll.write_conll(dev, [decoder.parse(model, s) for s in dev.sentences], str(out))
-    assert out.read_bytes() == open(fixture_path("toy_dev_parsed_v1.conllu"), "rb").read()
+    assert out.read_bytes() == Path(fixture_path("toy_dev_parsed_v1.conllu")).read_bytes()
 
 
 # sha256 of fresh seed-11 checkpoints on the toy_train vocabularies, as the
