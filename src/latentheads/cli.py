@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import decoder, serialize, export as export_mod
 from .conll import (FORMATS, PunctuationRule, build_vocabularies, read_conll,
                     read_lines, write_conll)

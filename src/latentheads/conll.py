@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DataFormatError, InvalidInputError
 

@@ -72,6 +72,13 @@ def read_lss_text(path: str) -> list[list[tuple[str, np.ndarray]]]:
 
 
 def write_lss_binary(model: LhrModel, tb: Treebank, path: str) -> None:
+    for k, sent in enumerate(tb.sentences):  # before the output opens: no partial file
+        for j, tok in enumerate(sent.tokens):
+            size = len(tok.form.encode("utf-8"))
+            if size > 0xFFFF:
+                raise InvalidInputError(
+                    f"sentence {k} token {j}: form is {size} UTF-8 bytes, "
+                    "the binary latent-structure format holds at most 65535")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(tb.sentences)))
@@ -79,12 +86,8 @@ def write_lss_binary(model: LhrModel, tb: Treebank, path: str) -> None:
             rows = sentence_vectors(model, sent)
             dim = rows[0][1].shape[0]
             fh.write(struct.pack("<II", len(rows), dim))
-            for j, (form, vec) in enumerate(rows):
+            for form, vec in rows:
                 raw = form.encode("utf-8")
-                if len(raw) > 0xFFFF:
-                    raise InvalidInputError(
-                        f"sentence {k} token {j}: form is {len(raw)} UTF-8 bytes, "
-                        "the binary latent-structure format holds at most 65535")
                 fh.write(struct.pack("<H", len(raw)))
                 fh.write(raw)
                 fh.write(vec.astype("<f8", copy=False).tobytes())

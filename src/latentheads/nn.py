@@ -17,7 +17,6 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     ConfigurationError,
@@ -422,16 +421,20 @@ class LstmCell:
         cs = np.empty((n, h_size))
         h = np.zeros(h_size)
         c = np.zeros(h_size)
-        sig = slice(0, 3 * h_size)
-        for t in range(n):
-            z = gates[t]
-            z += w_h @ h
-            expit(z[sig], out=z[sig])
-            np.tanh(z[3 * h_size:], out=z[3 * h_size:])
-            c = z[h_size:2 * h_size] * c + z[:h_size] * z[3 * h_size:]
-            h = z[2 * h_size:3 * h_size] * np.tanh(c)
-            hs[t] = h
-            cs[t] = c
+        # below s = -709.78, exp(-s) overflows to inf, and 1 / inf = 0 is the limit
+        with np.errstate(over="ignore"):
+            for t in range(n):
+                z = gates[t]
+                z += w_h @ h
+                sig = z[:3 * h_size]  # 1 / (1 + exp(-s)), in place
+                np.exp(np.negative(sig, out=sig), out=sig)
+                sig += 1.0
+                np.reciprocal(sig, out=sig)
+                np.tanh(z[3 * h_size:], out=z[3 * h_size:])
+                c = z[h_size:2 * h_size] * c + z[:h_size] * z[3 * h_size:]
+                h = z[2 * h_size:3 * h_size] * np.tanh(c)
+                hs[t] = h
+                cs[t] = c
         return hs, (x, gates, cs, hs)
 
     def backprop(self, cache: tuple, d_hs: np.ndarray, need_dx: bool) -> np.ndarray | None:

@@ -39,9 +39,9 @@ def _vocab_from_meta(meta: dict) -> Vocabulary:
 def _config_from_meta(cls, values, path: str, **nested):
     """The config dataclass `cls` rebuilt from a dict naming exactly its fields.
 
-    A missing or unknown field raises: no dataclass default may stand in
-    for a value the checkpoint should carry. `nested` maps each field that
-    is itself a config to its class.
+    A missing or unknown field, or a value not of its default's type, raises:
+    no default may stand in for a value the checkpoint should carry. `nested`
+    maps each field that is itself a config to its class.
     """
     fields = {f.name for f in dataclasses.fields(cls)}
     given = set(values) if isinstance(values, dict) else set()
@@ -49,6 +49,14 @@ def _config_from_meta(cls, values, path: str, **nested):
         raise CheckpointError(
             f"{path} meta config does not match {cls.__name__}: missing "
             f"{sorted(fields - given)}, unknown {sorted(given - fields)}")
+    for f in dataclasses.fields(cls):
+        value, kind = values[f.name], type(f.default)
+        # bool is an int subclass, so it fits a bool field only; a float field takes an int
+        fits = (type(value) is kind if bool in (kind, type(value))
+                else isinstance(value, (int, float) if kind is float else kind))
+        if f.name not in nested and not fits:
+            raise CheckpointError(f"{path} meta config field {f.name!r} is {value!r}, "
+                                  f"expected {kind.__name__}")
     return cls(**{name: _config_from_meta(nested[name], value, path) if name in nested
                   else value for name, value in values.items()})
 
@@ -85,6 +93,8 @@ def load_model(path: str) -> LhrModel:
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path} has a corrupt meta entry: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path} meta is not a JSON object")
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
@@ -95,8 +105,8 @@ def load_model(path: str) -> LhrModel:
         pos_vocab = _vocab_from_meta(meta["pos_vocab"])
         label_vocab = _vocab_from_meta(meta["label_vocab"])
         seen_pairs = [tuple(p) for p in meta["seen_pairs"]]
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path} meta is missing fields: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path} meta is missing fields or malformed: {exc}") from exc
     model = LhrModel(word_vocab, pos_vocab, label_vocab, seen_pairs, cfg)
     saved = {name[len("param/"):]: value
              for name, value in arrays.items() if name.startswith("param/")}

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import latentheads
 from latentheads import conll, export, serialize
 from latentheads.cli import main
 
@@ -287,3 +288,14 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "export-lss" in proc.stdout
+
+
+def test_importing_the_cli_loads_only_the_stdlib_and_numpy():
+    # modules present before the import (site hooks) do not count
+    src = str(Path(latentheads.__file__).parent.parent)
+    code = ("import sys; before = set(sys.modules); "
+            f"sys.path.insert(0, {src!r}); import latentheads.cli; "
+            "print(*{m.partition('.')[0] for m in set(sys.modules) - before})")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert set(proc.stdout.split()) - set(sys.stdlib_module_names) <= {"latentheads", "numpy"}

@@ -1,11 +1,13 @@
 """Latent-structure export: text and binary containers for the same payload."""
 
+import copy
 import struct
 
 import numpy as np
 import pytest
 
 from latentheads import export
+from latentheads.conll import Treebank
 from latentheads.errors import DataFormatError, InvalidInputError
 
 from lhr_testutil import make_treebank, tiny_model
@@ -112,8 +114,20 @@ def test_binary_writer_rejects_form_over_65535_bytes(model, bank, tmp_path):
         tok.form = saved
 
 
+def test_binary_writer_failure_leaves_no_partial_file(model, bank, tmp_path):
+    tb = Treebank(copy.deepcopy(bank.sentences[:3]))
+    tb.sentences[2].tokens[0].form = "x" * 70000
+    fresh = tmp_path / "fresh.bin"
+    kept = tmp_path / "kept.bin"
+    kept.write_bytes(b"earlier output")
+    for path in (fresh, kept):
+        with pytest.raises(InvalidInputError, match="^sentence 2 token 0: form is 70000"):
+            export.export_lss(model, tb, str(path), fmt="binary")
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"earlier output"
+
+
 def test_empty_treebank_rejected(model, tmp_path):
-    from latentheads.conll import Treebank
     with pytest.raises(InvalidInputError, match="empty"):
         export.export_lss(model, Treebank([]), str(tmp_path / "x"), fmt="text")
 

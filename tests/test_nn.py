@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,28 @@ def test_lstm_matches_scalar_reimplementation():
             assert abs(cs[t][j] - c_new[j]) < 1e-12
             assert abs(hs[t][j] - h_new[j]) < 1e-12
         h_prev, c_prev = h_new, c_new
+
+
+def _gates_for_bias(bias):
+    """The cached gate outputs of one step whose pre-activations are `bias`."""
+    cell = _zeroed_cell(hidden=len(bias) // 4)
+    cell.bias[...] = bias
+    _, (_, gates, _, _) = cell.run(np.zeros((1, 2)))
+    return gates[0]
+
+
+def test_lstm_sigmoid_gates_match_expit():
+    from scipy.special import expit
+    bias = np.linspace(-700.0, 700.0, 4 * 1001)
+    sig = slice(0, 3 * 1001)
+    assert np.allclose(_gates_for_bias(bias)[sig], expit(bias[sig]), rtol=1e-15, atol=0.0)
+
+
+def test_lstm_saturated_gate_is_exactly_zero_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gates = _gates_for_bias(np.full(8, -1000.0))
+    assert np.array_equal(gates[:6], np.zeros(6))
 
 
 def test_lstm_forget_bias_initialized_to_one():

@@ -103,11 +103,16 @@ def test_corrupt_meta_raises(tmp_path):
 
 
 def rewrite_meta(src, dst, mutate):
-    """Copy a checkpoint with its JSON header passed through mutate()."""
+    """Copy a checkpoint with its JSON header passed through mutate().
+
+    mutate() changes the header in place and returns None, or returns the
+    header to write instead.
+    """
     with np.load(str(src), allow_pickle=False) as archive:
         arrays = {name: archive[name] for name in archive.files}
     meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    mutate(meta)
+    replaced = mutate(meta)
+    meta = meta if replaced is None else replaced
     raw = json.dumps(meta, sort_keys=True).encode("utf-8")
     arrays["meta"] = np.frombuffer(raw, dtype=np.uint8)
     np.savez(str(dst), **arrays)
@@ -160,6 +165,28 @@ def test_meta_config_must_name_exactly_the_config_fields(model, tmp_path, where,
     rewrite_meta(src, dst, change)
     with pytest.raises(CheckpointError, match=f"{key.lstrip('-')}"):
         serialize.load_model(str(dst))
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda meta: [1], "meta is not a JSON object"),
+    (lambda meta: meta["config"].update(context_hidden="abc"),
+     "field 'context_hidden' is 'abc', expected int"),
+    (lambda meta: meta["config"].update(context_hidden=2.5),
+     "field 'context_hidden' is 2.5, expected int"),
+    (lambda meta: meta["word_vocab"].update(counts="ab"), "malformed"),
+    # loading this would build a softmax labeler the weights were not trained for
+    (lambda meta: meta["config"].update(labeler_softmax="no"),
+     "field 'labeler_softmax' is 'no', expected bool"),
+], ids=["meta-list", "int-as-str", "int-as-float", "counts-as-str", "bool-as-str"])
+def test_meta_values_of_the_wrong_type_raise(model, tmp_path, mutate, message):
+    src = tmp_path / "m.npz"
+    dst = tmp_path / "typed.npz"
+    serialize.save_model(model, str(src))
+    rewrite_meta(src, dst, mutate)
+    with pytest.raises(CheckpointError) as info:
+        serialize.load_model(str(dst))
+    assert str(info.value).startswith(str(dst))
+    assert message in str(info.value)
 
 
 def test_dropped_parameter_raises(model, tmp_path):
