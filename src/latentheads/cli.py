@@ -1,13 +1,14 @@
 """Command line front end: train, parse, eval, export-lss.
 
-Every option can also come from a flat key=value config file (--config);
-explicit command line flags win over the file, the file wins over built-in
-defaults. Usage problems exit 2, runtime failures exit 1.
+Every optional flag can also come from a flat key=value config file
+(--config); explicit command line flags win over the file, the file wins over
+built-in defaults. Usage problems exit 2, runtime failures exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import decoder, serialize, export as export_mod
@@ -23,9 +24,9 @@ from .trainer import LOSSES, ROOT_TARGETS, TrainConfig, train
 
 def _punct_rule(args) -> PunctuationRule | None:
     rule = PunctuationRule()
-    if getattr(args, "punct_pos", None) is not None:
+    if args.punct_pos is not None:
         rule.pos_tags = frozenset(t for t in args.punct_pos.split(",") if t)
-    if getattr(args, "punct_labels", None) is not None:
+    if args.punct_labels is not None:
         rule.labels = frozenset(t for t in args.punct_labels.split(",") if t)
     return rule
 
@@ -37,7 +38,16 @@ def _add_punct_flags(p: argparse.ArgumentParser) -> None:
                    help="comma-separated arc labels treated as punctuation")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_input_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=FORMATS, default="conllu")
+    p.add_argument("--config", metavar="FILE", help="key=value file with defaults for any flag")
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's subparser, by command name.
+
+    A `train` flag that sets a config field has the field's name as its dest.
+    """
     parser = argparse.ArgumentParser(
         prog="latentheads",
         description="Dependency parsing by reconstructing each token's "
@@ -48,8 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--train", required=True, metavar="FILE", help="training treebank")
     tr.add_argument("--dev", metavar="FILE", help="development treebank; keeps the best-UAS weights")
     tr.add_argument("--model", required=True, metavar="FILE", help="checkpoint to write")
-    tr.add_argument("--format", choices=FORMATS, default="conllu")
-    tr.add_argument("--config", metavar="FILE", help="key=value file with defaults for any flag")
+    _add_input_flags(tr)
     tr.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     tr.add_argument("--lr", type=float, default=TrainConfig.lr)
     tr.add_argument("--seed", type=int, default=TrainConfig.seed)
@@ -65,10 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--char-dim", type=int, default=EncoderConfig.char_dim)
     tr.add_argument("--char-hidden", type=int, default=EncoderConfig.char_hidden)
     tr.add_argument("--alpha", type=float, default=EncoderConfig.alpha_word_dropout,
+                    dest="alpha_word_dropout", metavar="ALPHA",
                     help="word dropout strength alpha/(count+alpha)")
     tr.add_argument("--min-count", type=int, default=1,
                     help="words rarer than this map to the unknown embedding")
-    tr.add_argument("--no-labeler", action="store_true",
+    tr.add_argument("--no-labeler", dest="use_labeler", action="store_false",
                     help="train the reconstruction objective alone")
     tr.add_argument("--labeler-weight", type=float, default=TrainConfig.labeler_weight)
     tr.add_argument("--labeler-softmax", action="store_true",
@@ -79,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="let reconstruction gradients reach the target context vectors")
     tr.add_argument("--skip-punct-heads", action="store_true",
                     help="drop punctuation tokens from the reconstruction loss")
-    tr.add_argument("--no-shuffle", action="store_true")
+    tr.add_argument("--no-shuffle", dest="shuffle", action="store_false")
     tr.add_argument("--curve", metavar="FILE", help="write per-epoch loss/score TSV here")
     tr.add_argument("--quiet", action="store_true")
     _add_punct_flags(tr)
@@ -88,16 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--model", required=True, metavar="FILE")
     pa.add_argument("--input", required=True, metavar="FILE")
     pa.add_argument("--output", metavar="FILE", help="default: standard output")
-    pa.add_argument("--format", choices=FORMATS, default="conllu")
-    pa.add_argument("--config", metavar="FILE")
+    _add_input_flags(pa)
     pa.add_argument("--no-pos-correction", action="store_true",
                     help="keep the input's predicted POS column in the output")
 
     ev = sub.add_parser("eval", help="score a parsed file against gold")
     ev.add_argument("--gold", required=True, metavar="FILE")
     ev.add_argument("--pred", required=True, metavar="FILE")
-    ev.add_argument("--format", choices=FORMATS, default="conllu")
-    ev.add_argument("--config", metavar="FILE")
+    _add_input_flags(ev)
     ev.add_argument("--include-punct", action="store_true",
                     help="count punctuation tokens in the accuracies")
     _add_punct_flags(ev)
@@ -106,11 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--model", required=True, metavar="FILE")
     ex.add_argument("--input", required=True, metavar="FILE")
     ex.add_argument("--output", required=True, metavar="FILE")
-    ex.add_argument("--format", choices=FORMATS, default="conllu")
-    ex.add_argument("--config", metavar="FILE")
+    _add_input_flags(ex)
     ex.add_argument("--lss-format", choices=export_mod.LSS_FORMATS, default="text")
 
-    return parser
+    return parser, sub.choices
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -137,43 +144,35 @@ _FALSE = {"0", "false", "no", "off"}
 
 
 def _apply_config(sub_parser: argparse.ArgumentParser, values: dict[str, str]) -> None:
-    """Turn config entries into parser defaults, so explicit flags still win."""
-    actions = {a.dest: a for a in sub_parser._actions}
+    """Turn config entries into parser defaults, so explicit flags still win.
+
+    A key names a flag without its leading dashes; a switch takes a boolean.
+    """
     defaults = {}
     for key, raw in values.items():
-        action = actions.get(key)
+        action = sub_parser._option_string_actions.get("--" + key.replace("_", "-"))
         if action is None:
             raise UsageError(f"config key {key!r} matches no option of this command")
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            low = raw.lower()
-            if low in _TRUE:
-                defaults[key] = isinstance(action, argparse._StoreTrueAction)
-            elif low in _FALSE:
-                defaults[key] = not isinstance(action, argparse._StoreTrueAction)
-            else:
+        if action.nargs == 0:
+            if raw.lower() not in _TRUE | _FALSE:
                 raise UsageError(f"config key {key!r} expects a boolean, got {raw!r}")
-        elif action.type is not None:
+            value = action.const if raw.lower() in _TRUE else action.default
+        else:
             try:
-                defaults[key] = action.type(raw)
+                value = raw if action.type is None else action.type(raw)
             except ValueError as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from exc
-        else:
-            defaults[key] = raw
-        if action.choices is not None and defaults[key] not in action.choices:
+        if action.choices is not None and value not in action.choices:
             raise UsageError(
-                f"config key {key!r}: {defaults[key]!r} is not one of {list(action.choices)}")
+                f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+        defaults[action.dest] = value
     sub_parser.set_defaults(**defaults)
 
 
-def _find_config_path(argv: list[str]) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise UsageError("--config needs a file argument")
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok[len("--config="):]
-    return None
+def _from_args(cls, args, **given):
+    """The config dataclass `cls` with each field not in `given` read from `args`."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                  if f.name not in given}, **given)
 
 
 def cmd_train(args) -> int:
@@ -182,19 +181,9 @@ def cmd_train(args) -> int:
     dev_tb = read_conll(args.dev, fmt=args.format, punct=punct) if args.dev else None
     word_vocab, pos_vocab, label_vocab, seen_pairs = build_vocabularies(
         train_tb, min_count=args.min_count)
-    cfg = ModelConfig(
-        encoder=EncoderConfig(word_dim=args.word_dim, pos_dim=args.pos_dim,
-                              alpha_word_dropout=args.alpha, mode=args.mode,
-                              char_dim=args.char_dim, char_hidden=args.char_hidden),
-        context_hidden=args.context_hidden, heads_hidden=args.heads_hidden,
-        labeler_hidden=args.labeler_hidden, labeler_softmax=args.labeler_softmax)
+    cfg = _from_args(ModelConfig, args, encoder=_from_args(EncoderConfig, args))
     model = LhrModel(word_vocab, pos_vocab, label_vocab, seen_pairs, cfg, seed=args.seed)
-    tcfg = TrainConfig(
-        epochs=args.epochs, lr=args.lr, loss=args.loss,
-        use_labeler=not args.no_labeler, labeler_weight=args.labeler_weight,
-        root_target=args.root_target, rebalance_targets=args.rebalance_targets,
-        skip_punct_heads=args.skip_punct_heads, shuffle=not args.no_shuffle,
-        seed=args.seed)
+    tcfg = _from_args(TrainConfig, args)
     log = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
     report = train(model, train_tb, tcfg, dev_tb=dev_tb, log=log)
     serialize.save_model(model, args.model)
@@ -246,42 +235,28 @@ def cmd_export(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "train": cmd_train,
-    "parse": cmd_parse,
-    "eval": cmd_eval,
-    "export-lss": cmd_export,
-}
+_COMMANDS = {"train": cmd_train, "parse": cmd_parse, "eval": cmd_eval,
+             "export-lss": cmd_export}
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        config_path = _find_config_path(argv)
-        if config_path is not None:
-            values = read_config_file(config_path)
-            values.pop("config", None)
-            command = next((tok for tok in argv if tok in _COMMANDS), None)
-            if command is None:
-                raise UsageError("--config requires a command")
-            sub = parser._subparsers._group_actions[0].choices[command]
-            _apply_config(sub, values)
         try:
             args = parser.parse_args(argv)
-        except SystemExit as exc:
+            if args.command is None:
+                parser.print_help(sys.stderr)
+                return 2
+            if args.config is not None:
+                _apply_config(commands[args.command], read_config_file(args.config))
+                args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse's usage errors and --help
             return int(exc.code or 0)
-        if args.command is None:
-            parser.print_help(sys.stderr)
-            return 2
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LatentHeadsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LatentHeadsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

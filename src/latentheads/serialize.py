@@ -15,7 +15,7 @@ import zipfile
 import numpy as np
 
 from .conll import Vocabulary
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigurationError, InvalidInputError
 from .model import LhrModel, ModelConfig
 from .tokens import EncoderConfig
 
@@ -31,7 +31,13 @@ def _vocab_meta(vocab: Vocabulary) -> dict:
     }
 
 
-def _vocab_from_meta(meta: dict) -> Vocabulary:
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _vocab_from_meta(meta: dict, path: str, name: str) -> Vocabulary:
+    if not _is_str_list(meta["symbols"]):
+        raise CheckpointError(f"{path} meta field '{name}.symbols' is not a list of strings")
     return Vocabulary(meta["symbols"], counts=meta["counts"],
                       min_count=meta["min_count"], unknown=meta["unknown"])
 
@@ -101,13 +107,19 @@ def load_model(path: str) -> LhrModel:
             f"{path} is format version {version!r}, this build reads {FORMAT_VERSION}")
     try:
         cfg = _config_from_meta(ModelConfig, meta["config"], path, encoder=EncoderConfig)
-        word_vocab = _vocab_from_meta(meta["word_vocab"])
-        pos_vocab = _vocab_from_meta(meta["pos_vocab"])
-        label_vocab = _vocab_from_meta(meta["label_vocab"])
-        seen_pairs = [tuple(p) for p in meta["seen_pairs"]]
+        vocabs = [_vocab_from_meta(meta[name], path, name)
+                  for name in ("word_vocab", "pos_vocab", "label_vocab")]
+        seen_pairs = meta["seen_pairs"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path} meta is missing fields or malformed: {exc}") from exc
-    model = LhrModel(word_vocab, pos_vocab, label_vocab, seen_pairs, cfg)
+    if not (isinstance(seen_pairs, list)
+            and all(_is_str_list(p) and len(p) == 2 for p in seen_pairs)):
+        raise CheckpointError(f"{path} meta field 'seen_pairs' is not a list of "
+                              "[label, pos] string pairs")
+    try:
+        model = LhrModel(*vocabs, seen_pairs, cfg)
+    except (ConfigurationError, InvalidInputError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     saved = {name[len("param/"):]: value
              for name, value in arrays.items() if name.startswith("param/")}
     current = dict(model.named_parameters())

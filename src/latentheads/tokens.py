@@ -147,7 +147,7 @@ class TokenEncoder:
         if self.pos_table is not None:
             other = self.pos_table.lookup([tok.predicted_pos for tok in sentence.tokens])
         else:
-            other = self.char_encoder.encode([tok.form for tok in sentence.tokens])
+            other = self.char_encoder.encode([tok.form.lower() for tok in sentence.tokens])
         return nn.concat((words, other))
 
     def named_parameters(self, prefix: str = ""):

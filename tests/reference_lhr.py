@@ -223,7 +223,7 @@ class RefModel:
                 other = row(self.params["token_encoder.pos.vectors"],
                             te.pos_vocab.index_of(tok.predicted_pos))
             else:
-                other = self.char_vector(tok.form)
+                other = self.char_vector(tok.form.lower())
             out.append(concat((word_vec, other)))
         return out
 

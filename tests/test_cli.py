@@ -1,5 +1,6 @@
 """End-to-end command line behaviour: exit codes, artifacts, determinism."""
 
+import dataclasses
 import hashlib
 import subprocess
 import sys
@@ -8,8 +9,11 @@ from pathlib import Path
 import pytest
 
 import latentheads
-from latentheads import conll, export, serialize
+from latentheads import cli, conll, export, serialize
 from latentheads.cli import main
+from latentheads.model import ModelConfig
+from latentheads.tokens import EncoderConfig
+from latentheads.trainer import TrainConfig
 
 from lhr_testutil import fixture_path
 
@@ -194,6 +198,43 @@ def test_explicit_flag_beats_config_file(tmp_path):
     assert code == 0
     loaded = serialize.load_model(str(model))
     assert loaded.config.encoder.word_dim == 10
+
+
+def test_abbreviated_config_flag_applies_the_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs = 1\nword-dim = 8\npos-dim = 4\ncontext-hidden = 6\n"
+                   "heads-hidden = 6\nlabeler-hidden = 6\nquiet = yes\n")
+    model = tmp_path / "m.npz"
+    assert main(["train", "--train", TRAIN, "--model", str(model), "--conf", str(cfg)]) == 0
+    assert serialize.load_model(str(model)).config.encoder.word_dim == 8
+
+
+@pytest.mark.parametrize("keys", [("alpha", "no-labeler", "no-shuffle"),
+                                  ("alpha", "no_labeler", "no_shuffle")])
+def test_config_keys_of_renamed_dests_reach_the_configs(tmp_path, monkeypatch, keys):
+    seen, real_train = [], cli.train
+
+    def spy(model, train_tb, tcfg, **kwargs):
+        seen.append(tcfg)
+        return real_train(model, train_tb, tcfg, **kwargs)
+
+    monkeypatch.setattr(cli, "train", spy)
+    cfg = tmp_path / "run.cfg"
+    alpha, labeler, shuffle = keys
+    cfg.write_text(f"{alpha} = 0.5\n{labeler} = yes\n{shuffle} = on\n")
+    model = tmp_path / "m.npz"
+    assert main(["train", "--train", TRAIN, "--model", str(model), *FAST,
+                 "--config", str(cfg)]) == 0
+    assert serialize.load_model(str(model)).config.encoder.alpha_word_dropout == 0.5
+    assert [(t.use_labeler, t.shuffle) for t in seen] == [(False, False)]
+
+
+def test_every_config_field_is_the_dest_of_one_train_flag():
+    _, commands = cli.build_parser()
+    dests = [a.dest for a in commands["train"]._actions]
+    fields = [f.name for cls in (EncoderConfig, ModelConfig, TrainConfig)
+              for f in dataclasses.fields(cls) if f.name != "encoder"]
+    assert {name: dests.count(name) for name in fields} == {name: 1 for name in fields}
 
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Source checks that need no installed linter."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import latentheads
@@ -24,3 +26,16 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_no_module_private_name_of_an_imported_module_is_read():
+    reads = []
+    for path in SOURCES:
+        module = importlib.import_module(
+            "latentheads" if path.stem == "__init__" else f"latentheads.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and inspect.ismodule(getattr(module, node.value.id, None))
+                    and node.attr.startswith("_") and not node.attr.endswith("__")):
+                reads.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert reads == []

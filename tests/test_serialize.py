@@ -177,7 +177,17 @@ def test_meta_config_must_name_exactly_the_config_fields(model, tmp_path, where,
     # loading this would build a softmax labeler the weights were not trained for
     (lambda meta: meta["config"].update(labeler_softmax="no"),
      "field 'labeler_softmax' is 'no', expected bool"),
-], ids=["meta-list", "int-as-str", "int-as-float", "counts-as-str", "bool-as-str"])
+    (lambda meta: meta.update(seen_pairs=[[1]]), "'seen_pairs'"),
+    (lambda meta: meta.update(seen_pairs=[["a", "b", "c"]]), "'seen_pairs'"),
+    (lambda meta: meta.update(seen_pairs=[[["x"], "y"]]), "'seen_pairs'"),
+    (lambda meta: meta["word_vocab"].update(symbols=[1, 2, 3]), "'word_vocab.symbols'"),
+    # values of the right type that the model itself rejects
+    (lambda meta: meta["config"].update(context_hidden=0), "context_hidden must be positive"),
+    (lambda meta: meta["seen_pairs"].append(["nolabel", meta["seen_pairs"][0][1]]),
+     "symbol 'nolabel' not in vocabulary"),
+], ids=["meta-list", "int-as-str", "int-as-float", "counts-as-str", "bool-as-str",
+        "pair-too-short", "pair-too-long", "pair-of-list", "symbols-as-ints",
+        "zero-hidden", "pair-label-unknown"])
 def test_meta_values_of_the_wrong_type_raise(model, tmp_path, mutate, message):
     src = tmp_path / "m.npz"
     dst = tmp_path / "typed.npz"

@@ -203,6 +203,14 @@ def test_word_char_mode_output_size_matches_word_pos():
     assert out.data.shape == (8,)
 
 
+def test_word_char_mode_reads_capitals_through_their_lowercase_letters():
+    # the char table is built from the lowercased word keys
+    enc = encoder(mode="word+char")
+    upper = enc.encode(sent([("The", "DET"), ("dog", "NOUN")])).data
+    lower = enc.encode(sent([("the", "DET"), ("dog", "NOUN")])).data
+    assert np.array_equal(upper, lower)
+
+
 def test_char_vocab_covers_training_characters():
     words, _ = small_vocabs()
     cv = char_vocab_from_words(words)
