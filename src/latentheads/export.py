@@ -8,6 +8,7 @@ the token forms so exported files are inspectable on their own.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -94,13 +95,14 @@ def write_lss_binary(model: LhrModel, tb: Treebank, path: str) -> None:
 
 
 def read_lss_binary(path: str) -> list[list[tuple[str, np.ndarray]]]:
-    def take(fh, n: int) -> bytes:
-        raw = fh.read(n)
+    def take(fh, n: int) -> bytes:  # a size past the end of the file is never allocated
+        raw = fh.read(n) if n <= size - fh.tell() else b""
         if len(raw) != n:
             raise DataFormatError(f"{path}: truncated latent-structure file")
         return raw
 
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if take(fh, 4) != _MAGIC:
             raise DataFormatError(f"{path} is not a binary latent-structure file")
         (n_sentences,) = struct.unpack("<I", take(fh, 4))

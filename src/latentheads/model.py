@@ -54,50 +54,49 @@ class LabelerHead:
     """Two classifier outputs sharing one hidden layer."""
 
     def __init__(self, context_size: int, hidden: int, n_labels: int, n_pos: int,
-                 softmax_outputs: bool, rng: np.random.Generator):
+                 softmax_outputs: bool, params: nn.Parameters, prefix: str = ""):
         out_act = "softmax" if softmax_outputs else "identity"
-        self.shared_hidden = nn.DenseLayer(2 * context_size, hidden, "tanh", rng)
-        self.label_output = nn.DenseLayer(hidden, n_labels, out_act, rng)
-        self.pos_output = nn.DenseLayer(hidden, n_pos, out_act, rng)
+        self.shared_hidden = nn.DenseLayer(
+            2 * context_size, hidden, "tanh", params, prefix + "shared.")
+        self.label_output = nn.DenseLayer(hidden, n_labels, out_act, params, prefix + "label.")
+        self.pos_output = nn.DenseLayer(hidden, n_pos, out_act, params, prefix + "pos.")
 
     def score(self, dependent_c: nn.Tensor, governor_c: nn.Tensor) -> tuple[nn.Tensor, nn.Tensor]:
         """Label and POS scores for one arc (vectors) or one arc per row (matrices)."""
         hidden = self.shared_hidden(nn.concat((dependent_c, governor_c)))
         return self.label_output(hidden), self.pos_output(hidden)
 
-    def named_parameters(self, prefix: str = ""):
-        yield from self.shared_hidden.named_parameters(prefix + "shared.")
-        yield from self.label_output.named_parameters(prefix + "label.")
-        yield from self.pos_output.named_parameters(prefix + "pos.")
-
 
 class LhrModel:
-    """All trainable state of the parser, plus its vocabularies."""
+    """All trainable state of the parser, plus its vocabularies.
+
+    Fresh weights are drawn from `seed`; a `source` hands out saved ones instead.
+    """
 
     def __init__(self, word_vocab: Vocabulary, pos_vocab: Vocabulary,
                  label_vocab: Vocabulary, seen_pairs, config: ModelConfig,
-                 seed: int = 0):
+                 seed: int = 0, source: nn.Parameters | None = None):
         config.validate()
-        rng = np.random.default_rng(seed)
+        params = self.params = source or nn.Parameters(np.random.default_rng(seed))
         self.config = config
         self.word_vocab = word_vocab
         self.pos_vocab = pos_vocab
         self.label_vocab = label_vocab
         self.seen_pairs = [tuple(p) for p in seen_pairs]
 
-        self.token_encoder = TokenEncoder(word_vocab, pos_vocab, config.encoder, rng)
+        self.token_encoder = TokenEncoder(word_vocab, pos_vocab, config.encoder, params,
+                                          "token_encoder.")
         self.context_encoder = nn.BiEncoder(
-            self.token_encoder.output_size, config.context_hidden, rng)
+            self.token_encoder.output_size, config.context_hidden, params, "context_encoder.")
         self.heads_encoder = nn.BiEncoder(
-            self.context_encoder.output_size, config.heads_hidden, rng)
+            self.context_encoder.output_size, config.heads_hidden, params, "heads_encoder.")
         # reduce the heads encoder's output back to |c| so h and c are comparable
         self.head_reducer = nn.DenseLayer(
-            self.heads_encoder.output_size, config.context_size, "tanh", rng)
-        self.root_vector = nn.Parameter(
-            rng.uniform(-0.05, 0.05, size=config.context_size))
+            self.heads_encoder.output_size, config.context_size, "tanh", params, "head_reducer.")
+        self.root_vector = params.new("root_vector", (config.context_size,), "uniform")
         self.labeler = LabelerHead(config.context_size, config.labeler_hidden,
                                    len(label_vocab), len(pos_vocab),
-                                   config.labeler_softmax, rng)
+                                   config.labeler_softmax, params, "labeler.")
         # precomputed index arrays for the joint label/POS argmax over seen pairs
         self._pair_label_idx = np.array(
             [label_vocab.index_of(l) for l, _ in self.seen_pairs], dtype=int)
@@ -132,10 +131,4 @@ class LhrModel:
         return np.hstack((enc.context_vectors.data, enc.latent_heads.data))
 
     def named_parameters(self) -> list[tuple[str, nn.Parameter]]:
-        params = list(self.token_encoder.named_parameters("token_encoder."))
-        params += list(self.context_encoder.named_parameters("context_encoder."))
-        params += list(self.heads_encoder.named_parameters("heads_encoder."))
-        params += list(self.head_reducer.named_parameters("head_reducer."))
-        params.append(("root_vector", self.root_vector))
-        params += list(self.labeler.named_parameters("labeler."))
-        return params
+        return list(self.params.named)

@@ -127,15 +127,15 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable tensor carrying its gradient and Adam accumulators.
 
-    `grad` may be handed in as a view into a larger gradient array, so that
-    a fused layer can accumulate into several parameters with one product.
+    A fused layer may re-point `data` and `grad` at views into larger arrays,
+    so that it can accumulate into several parameters with one product.
     """
 
     __slots__ = ("adam_m", "adam_v", "step_count")
 
-    def __init__(self, data, grad: np.ndarray | None = None):
+    def __init__(self, data):
         super().__init__(data, needs_grad=True)
-        self.grad = np.zeros_like(self.data) if grad is None else grad
+        self.grad = np.zeros_like(self.data)
         self.adam_m = np.zeros_like(self.data)
         self.adam_v = np.zeros_like(self.data)
         self.step_count = 0
@@ -339,9 +339,27 @@ def nll_loss(probs: Tensor, gold) -> Tensor:
     return _record(np.asarray(-np.log(pg).sum() / n), (probs,), bw)
 
 
-def glorot_uniform(rng: np.random.Generator, out_size: int, in_size: int) -> np.ndarray:
-    limit = math.sqrt(6.0 / (in_size + out_size))
-    return rng.uniform(-limit, limit, size=(out_size, in_size))
+class Parameters:
+    """A model's weights, each declared once by name; creation order is checkpoint order.
+
+    `array` is the only place a weight is drawn: "glorot" for an (out, in)
+    matrix, "uniform" in +-0.05, "zeros" or "ones". A loader overrides it.
+    """
+
+    def __init__(self, rng: np.random.Generator | None):
+        self.rng = rng
+        self.named: list[tuple[str, Parameter]] = []
+
+    def array(self, name: str, shape: tuple, init: str) -> np.ndarray:
+        if init in ("glorot", "uniform"):
+            limit = math.sqrt(6.0 / sum(shape)) if init == "glorot" else 0.05
+            return self.rng.uniform(-limit, limit, size=shape)
+        return {"zeros": np.zeros, "ones": np.ones}[init](shape)
+
+    def new(self, name: str, shape: tuple, init: str) -> Parameter:
+        p = Parameter(self.array(name, shape, init))
+        self.named.append((name, p))
+        return p
 
 
 _ACTIVATIONS = ("tanh", "softmax", "identity")
@@ -351,7 +369,7 @@ class DenseLayer:
     """Fully connected layer: activation(W x + b) for a vector or each matrix row."""
 
     def __init__(self, in_size: int, out_size: int, activation: str,
-                 rng: np.random.Generator):
+                 params: Parameters, prefix: str = ""):
         if in_size < 1 or out_size < 1:
             raise ConfigurationError("DenseLayer sizes must be positive")
         if activation not in _ACTIVATIONS:
@@ -359,8 +377,8 @@ class DenseLayer:
         self.in_size = in_size
         self.out_size = out_size
         self.activation = activation
-        self.weights = Parameter(glorot_uniform(rng, out_size, in_size))
-        self.bias = Parameter(np.zeros(out_size))
+        self.weights = params.new(prefix + "weights", (out_size, in_size), "glorot")
+        self.bias = params.new(prefix + "bias", (out_size,), "zeros")
 
     def forward(self, x: Tensor) -> Tensor:
         if x.data.shape[-1:] != (self.in_size,):
@@ -375,41 +393,38 @@ class DenseLayer:
 
     __call__ = forward
 
-    def named_parameters(self, prefix: str = ""):
-        yield prefix + "weights", self.weights
-        yield prefix + "bias", self.bias
-
 
 class LstmCell:
     """One LSTM direction with its four gates stacked as one [4H, X+H] map.
 
     Row blocks of `weight` and `bias` are the gates in GATES order, each an
-    affine map over [x; h_prev]. Every gate's weight and bias is also a
-    Parameter whose data and grad are views of its block, so Adam and the
+    affine map over [x; h_prev]. Every gate's weight and bias is declared as
+    a Parameter, then re-pointed at views of its block, so Adam and the
     checkpoint see one named array per gate. Forget-gate bias starts at 1.0
     so early training does not wipe the cell state.
     """
 
     GATES = ("input", "forget", "output", "candidate")
 
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
+    def __init__(self, input_size: int, hidden_size: int, params: Parameters, prefix: str = ""):
         if input_size < 1 or hidden_size < 1:
             raise ConfigurationError("LstmCell sizes must be positive")
         self.input_size = input_size
         self.hidden_size = hidden_size
         h, z = hidden_size, input_size + hidden_size
-        self.weight = np.empty((4 * h, z))
-        self.bias = np.zeros(4 * h)
+        gates = [(params.new(f"{prefix}w_{gate}", (h, z), "glorot"),
+                  params.new(f"{prefix}b_{gate}", (h,), "ones" if gate == "forget" else "zeros"))
+                 for gate in self.GATES]
+        self.weight = np.vstack([w.data for w, _ in gates])
+        self.bias = np.concatenate([b.data for _, b in gates])
         self.weight_grad = np.zeros_like(self.weight)
         self.bias_grad = np.zeros_like(self.bias)
-        for k, gate in enumerate(self.GATES):
+        for k, (gate, (w, b)) in enumerate(zip(self.GATES, gates)):
             block = slice(k * h, (k + 1) * h)
-            # one Glorot draw per gate, in GATES order, as separate gate
-            # matrices would draw them: seeded checkpoints keep their bytes
-            self.weight[block] = glorot_uniform(rng, h, z)
-            setattr(self, f"w_{gate}", Parameter(self.weight[block], self.weight_grad[block]))
-            setattr(self, f"b_{gate}", Parameter(self.bias[block], self.bias_grad[block]))
-        self.b_forget.data[...] = 1.0
+            w.data, w.grad = self.weight[block], self.weight_grad[block]
+            b.data, b.grad = self.bias[block], self.bias_grad[block]
+            setattr(self, f"w_{gate}", w)
+            setattr(self, f"b_{gate}", b)
 
     def run(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Hidden states for the rows of x (n, X), plus what `backprop` needs."""
@@ -471,21 +486,17 @@ class LstmCell:
         self.bias_grad += dz.sum(axis=0)
         return dz @ self.weight[:, :self.input_size] if need_dx else None
 
-    def named_parameters(self, prefix: str = ""):
-        for gate_name in self.GATES:
-            yield f"{prefix}w_{gate_name}", getattr(self, f"w_{gate_name}")
-            yield f"{prefix}b_{gate_name}", getattr(self, f"b_{gate_name}")
-
 
 class BiEncoder:
     """Two LSTMs reading a sequence in opposite directions, outputs side by side."""
 
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
+    def __init__(self, input_size: int, hidden_size: int, params: Parameters, prefix: str = ""):
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.forward_cell = LstmCell(input_size, hidden_size, rng)
-        self.reverse_cell = LstmCell(input_size, hidden_size, rng)
-        self._params = tuple(p for _, p in self.named_parameters())
+        first = len(params.named)
+        self.forward_cell = LstmCell(input_size, hidden_size, params, prefix + "forward.")
+        self.reverse_cell = LstmCell(input_size, hidden_size, params, prefix + "reverse.")
+        self._params = tuple(p for _, p in params.named[first:])
 
     @property
     def output_size(self) -> int:
@@ -514,10 +525,6 @@ class BiEncoder:
                 _acc(x, dx + dx_rev[::-1], own=True)
 
         return _record(np.hstack((fwd, rev[::-1])), (x,) + self._params, bw)
-
-    def named_parameters(self, prefix: str = ""):
-        yield from self.forward_cell.named_parameters(prefix + "forward.")
-        yield from self.reverse_cell.named_parameters(prefix + "reverse.")
 
 
 def adam_step(params: Iterable, lr: float = 0.001, beta1: float = 0.9,

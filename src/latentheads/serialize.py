@@ -14,6 +14,7 @@ import zipfile
 
 import numpy as np
 
+from . import nn
 from .conll import Vocabulary
 from .errors import CheckpointError, ConfigurationError, InvalidInputError
 from .model import LhrModel, ModelConfig
@@ -67,6 +68,33 @@ def _config_from_meta(cls, values, path: str, **nested):
                   else value for name, value in values.items()})
 
 
+class _Archive(nn.Parameters):
+    """Hands each module the saved array for the name it declares, checked first.
+
+    A configuration the archive does not fit fails at its first parameter, before
+    anything of its size is allocated; names left in `saved` were never declared.
+    """
+
+    def __init__(self, path: str, saved: dict):
+        super().__init__(None)
+        self.path, self.saved = path, saved
+
+    def array(self, name: str, shape: tuple, init: str) -> np.ndarray:
+        path, value = self.path, self.saved.pop(name, None)
+        if value is None:
+            raise CheckpointError(f"{path} parameters do not match the configuration "
+                                  f"(missing {name!r})")
+        if value.shape != shape:
+            raise CheckpointError(
+                f"{path}: parameter {name!r} has shape {value.shape}, expected {shape}")
+        if value.dtype != np.float64:
+            raise CheckpointError(
+                f"{path}: parameter {name!r} has dtype {value.dtype}, expected float64")
+        if not np.all(np.isfinite(value)):
+            raise CheckpointError(f"{path}: parameter {name!r} has non-finite values")
+        return value
+
+
 def save_model(model: LhrModel, path: str) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
@@ -91,7 +119,7 @@ def load_model(path: str) -> LhrModel:
                 raise CheckpointError(f"cannot read checkpoint {path}: not an .npz archive")
             with archive:
                 arrays = {name: archive[name] for name in archive.files}
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except (OSError, ValueError, EOFError, MemoryError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if "meta" not in arrays:
         raise CheckpointError(f"{path} has no meta entry; not a model checkpoint")
@@ -116,29 +144,13 @@ def load_model(path: str) -> LhrModel:
             and all(_is_str_list(p) and len(p) == 2 for p in seen_pairs)):
         raise CheckpointError(f"{path} meta field 'seen_pairs' is not a list of "
                               "[label, pos] string pairs")
+    source = _Archive(path, {name[len("param/"):]: value
+                             for name, value in arrays.items() if name.startswith("param/")})
     try:
-        model = LhrModel(*vocabs, seen_pairs, cfg)
+        model = LhrModel(*vocabs, seen_pairs, cfg, source=source)
     except (ConfigurationError, InvalidInputError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    saved = {name[len("param/"):]: value
-             for name, value in arrays.items() if name.startswith("param/")}
-    current = dict(model.named_parameters())
-    if set(saved) != set(current):
-        missing = sorted(set(current) - set(saved))
-        extra = sorted(set(saved) - set(current))
-        raise CheckpointError(
-            f"{path} parameters do not match the configuration "
-            f"(missing {missing[:3]}, unexpected {extra[:3]})")
-    for name, p in current.items():
-        value = saved[name]
-        if value.shape != p.data.shape:
-            raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {value.shape}, "
-                f"expected {p.data.shape}")
-        if value.dtype != np.float64:
-            raise CheckpointError(
-                f"{path}: parameter {name!r} has dtype {value.dtype}, expected float64")
-        if not np.all(np.isfinite(value)):
-            raise CheckpointError(f"{path}: parameter {name!r} has non-finite values")
-        p.data[...] = value
+    if source.saved:
+        raise CheckpointError(f"{path} parameters do not match the configuration "
+                              f"(unexpected {sorted(source.saved)[:3]})")
     return model

@@ -50,27 +50,25 @@ def drop_probability(word_count: int, alpha: float) -> float:
 class EmbeddingTable:
     """Vocabulary-indexed rows of a trainable matrix."""
 
-    def __init__(self, vocab: Vocabulary, dim: int, rng: np.random.Generator):
+    def __init__(self, vocab: Vocabulary, dim: int, params: nn.Parameters, prefix: str = ""):
         self.vocab = vocab
-        self.vectors = nn.Parameter(rng.uniform(-0.05, 0.05, size=(len(vocab), dim)))
+        self.vectors = params.new(prefix + "vectors", (len(vocab), dim), "uniform")
         self.unknown_index = vocab.unknown_index
 
     def lookup(self, symbols) -> nn.Tensor:
         """One row per symbol, as an (n, dim) matrix; a string looks up its characters."""
         return self.vectors[np.array([self.vocab.index_of(s) for s in symbols], dtype=np.intp)]
 
-    def named_parameters(self, prefix: str = ""):
-        yield prefix + "vectors", self.vectors
-
 
 class CharEncoder:
     """Fixed-size word summary from a character-level bidirectional pass."""
 
     def __init__(self, char_vocab: Vocabulary, cfg: EncoderConfig, out_dim: int,
-                 rng: np.random.Generator):
-        self.char_table = EmbeddingTable(char_vocab, cfg.char_dim, rng)
-        self.char_birnn = nn.BiEncoder(cfg.char_dim, cfg.char_hidden, rng)
-        self.projection = nn.DenseLayer(2 * cfg.char_hidden, out_dim, "identity", rng)
+                 params: nn.Parameters, prefix: str = ""):
+        self.char_table = EmbeddingTable(char_vocab, cfg.char_dim, params, prefix + "chars.")
+        self.char_birnn = nn.BiEncoder(cfg.char_dim, cfg.char_hidden, params, prefix + "birnn.")
+        self.projection = nn.DenseLayer(2 * cfg.char_hidden, out_dim, "identity", params,
+                                        prefix + "projection.")
         self.out_dim = out_dim
 
     def encode(self, words) -> nn.Tensor:
@@ -84,11 +82,6 @@ class CharEncoder:
             states = self.char_birnn.encode(self.char_table.lookup(word))
             rows.append(self.projection(nn.concat((states[-1, :h], states[0, h:]))))
         return nn.stack_rows(rows)
-
-    def named_parameters(self, prefix: str = ""):
-        yield from self.char_table.named_parameters(prefix + "chars.")
-        yield from self.char_birnn.named_parameters(prefix + "birnn.")
-        yield from self.projection.named_parameters(prefix + "projection.")
 
 
 def char_vocab_from_words(word_vocab: Vocabulary) -> Vocabulary:
@@ -105,19 +98,19 @@ class TokenEncoder:
     """
 
     def __init__(self, word_vocab: Vocabulary, pos_vocab: Vocabulary,
-                 config: EncoderConfig, rng: np.random.Generator):
+                 config: EncoderConfig, params: nn.Parameters, prefix: str = ""):
         config.validate()
         self.config = config
         self.word_vocab = word_vocab
         self.pos_vocab = pos_vocab
-        self.word_table = EmbeddingTable(word_vocab, config.word_dim, rng)
+        self.word_table = EmbeddingTable(word_vocab, config.word_dim, params, prefix + "words.")
         self.pos_table = None
         self.char_encoder = None
         if config.mode == "word+pos":
-            self.pos_table = EmbeddingTable(pos_vocab, config.pos_dim, rng)
+            self.pos_table = EmbeddingTable(pos_vocab, config.pos_dim, params, prefix + "pos.")
         else:
             self.char_encoder = CharEncoder(char_vocab_from_words(word_vocab),
-                                            config, config.pos_dim, rng)
+                                            config, config.pos_dim, params, prefix + "char.")
 
     @property
     def output_size(self) -> int:
@@ -149,10 +142,3 @@ class TokenEncoder:
         else:
             other = self.char_encoder.encode([tok.form.lower() for tok in sentence.tokens])
         return nn.concat((words, other))
-
-    def named_parameters(self, prefix: str = ""):
-        yield from self.word_table.named_parameters(prefix + "words.")
-        if self.pos_table is not None:
-            yield from self.pos_table.named_parameters(prefix + "pos.")
-        if self.char_encoder is not None:
-            yield from self.char_encoder.named_parameters(prefix + "char.")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import os
+import zipfile
 
 import numpy as np
 
@@ -103,3 +105,13 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
                        floor: float = 1e-5) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def copy_with_huge_header(src, dst, member: str = "param/root_vector.npy") -> None:
+    """Copy a checkpoint whose `member` .npy header declares 10**13 float64s."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": (10**13,)})
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for name in zin.namelist():
+            zout.writestr(name, header.getvalue() if name == member else zin.read(name))

@@ -15,7 +15,7 @@ from latentheads.model import ModelConfig
 from latentheads.tokens import EncoderConfig
 from latentheads.trainer import TrainConfig
 
-from lhr_testutil import fixture_path
+from lhr_testutil import copy_with_huge_header, fixture_path
 
 TRAIN = fixture_path("toy_train.conllu")
 DEV = fixture_path("toy_dev.conllu")
@@ -296,6 +296,16 @@ def test_truncated_checkpoint_exits_1(trained, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read checkpoint") and str(cut) in err
+    assert "Traceback" not in err
+
+
+def test_checkpoint_member_declaring_an_enormous_shape_exits_1(trained, tmp_path, capsys):
+    bad = tmp_path / "enormous.npz"
+    copy_with_huge_header(trained, bad)
+    code = main(["parse", "--model", str(bad), "--input", DEV])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read checkpoint") and str(bad) in err
     assert "Traceback" not in err
 
 

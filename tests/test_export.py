@@ -2,6 +2,7 @@
 
 import copy
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,20 @@ def test_binary_reader_rejects_truncation(model, bank, tmp_path):
     cut.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(DataFormatError, match="truncated"):
         export.read_lss_binary(str(cut))
+
+
+def test_binary_reader_rejects_a_record_longer_than_the_file(tmp_path):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"LSS1" + struct.pack("<I", 1) + struct.pack("<II", 1, 0xFFFFFFFF)
+                     + struct.pack("<H", 1) + b"a" + struct.pack("<d", 0.5))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="truncated"):
+            export.read_lss_binary(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the declared 32 GiB record is never read
 
 
 def test_binary_reader_rejects_non_utf8_form(tmp_path):

@@ -39,3 +39,18 @@ def test_no_module_private_name_of_an_imported_module_is_read():
                     and node.attr.startswith("_") and not node.attr.endswith("__")):
                 reads.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
     assert reads == []
+
+
+def test_parameters_are_made_only_by_the_registry():
+    # a Parameter made elsewhere would be missing from checkpoints and from Adam
+    made = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        registry = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    and path.name == "nn.py" and cls.name == "Parameters"
+                    for node in ast.walk(cls)}
+        made += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and id(node) not in registry
+                 and "Parameter" in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None))]
+    assert made == []

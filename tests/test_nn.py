@@ -22,7 +22,7 @@ def tensor(values):
 # ---------------------------------------------------------------- dense layer
 
 def test_dense_zero_weights_tanh_gives_zero():
-    layer = nn.DenseLayer(2, 3, "tanh", np.random.default_rng(0))
+    layer = nn.DenseLayer(2, 3, "tanh", nn.Parameters(np.random.default_rng(0)))
     layer.weights.data[...] = 0.0
     layer.bias.data[...] = 0.0
     out = layer(tensor([1.5, -2.0]))
@@ -30,7 +30,7 @@ def test_dense_zero_weights_tanh_gives_zero():
 
 
 def test_dense_identity_passthrough():
-    layer = nn.DenseLayer(2, 2, "identity", np.random.default_rng(0))
+    layer = nn.DenseLayer(2, 2, "identity", nn.Parameters(np.random.default_rng(0)))
     layer.weights.data[...] = np.eye(2)
     layer.bias.data[...] = 0.0
     out = layer(tensor([0.3, -0.7]))
@@ -38,7 +38,7 @@ def test_dense_identity_passthrough():
 
 
 def test_dense_single_row_tanh():
-    layer = nn.DenseLayer(2, 1, "tanh", np.random.default_rng(0))
+    layer = nn.DenseLayer(2, 1, "tanh", nn.Parameters(np.random.default_rng(0)))
     layer.weights.data[...] = np.array([[1.0, 1.0]])
     layer.bias.data[...] = 0.0
     out = layer(tensor([0.5, 0.5]))
@@ -48,10 +48,10 @@ def test_dense_single_row_tanh():
 def test_dense_rejects_bad_activation_and_size():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
-        nn.DenseLayer(2, 2, "relu", rng)
+        nn.DenseLayer(2, 2, "relu", nn.Parameters(rng))
     with pytest.raises(ConfigurationError):
-        nn.DenseLayer(0, 2, "identity", rng)
-    layer = nn.DenseLayer(3, 2, "identity", rng)
+        nn.DenseLayer(0, 2, "identity", nn.Parameters(rng))
+    layer = nn.DenseLayer(3, 2, "identity", nn.Parameters(rng))
     with pytest.raises(ConfigurationError):
         layer(tensor([1.0, 2.0]))
 
@@ -59,8 +59,9 @@ def test_dense_rejects_bad_activation_and_size():
 # ------------------------------------------------------------------ lstm cell
 
 def _zeroed_cell(input_size=2, hidden=3):
-    cell = nn.LstmCell(input_size, hidden, np.random.default_rng(1))
-    for _, p in cell.named_parameters():
+    params = nn.Parameters(np.random.default_rng(1))
+    cell = nn.LstmCell(input_size, hidden, params)
+    for _, p in params.named:
         p.data[...] = 0.0
     return cell
 
@@ -86,7 +87,7 @@ def test_lstm_saturated_gates_carry_cell_state():
 
 def test_lstm_matches_scalar_reimplementation():
     rng = np.random.default_rng(42)
-    cell = nn.LstmCell(2, 3, rng)
+    cell = nn.LstmCell(2, 3, nn.Parameters(rng))
     xs = rng.normal(size=(2, 2))
     hs, (_, _, cs, _) = cell.run(xs)
 
@@ -135,13 +136,13 @@ def test_lstm_saturated_gate_is_exactly_zero_without_warning():
 
 
 def test_lstm_forget_bias_initialized_to_one():
-    cell = nn.LstmCell(4, 4, np.random.default_rng(0))
+    cell = nn.LstmCell(4, 4, nn.Parameters(np.random.default_rng(0)))
     assert np.all(cell.b_forget.data == 1.0)
     assert np.all(cell.b_input.data == 0.0)
 
 
 def test_lstm_gate_parameters_are_views_of_the_stacked_arrays():
-    cell = nn.LstmCell(2, 3, np.random.default_rng(0))
+    cell = nn.LstmCell(2, 3, nn.Parameters(np.random.default_rng(0)))
     cell.w_output.data[...] = 7.0
     cell.b_candidate.grad[...] = 2.0
     assert np.all(cell.weight[6:9] == 7.0)
@@ -152,7 +153,7 @@ def test_lstm_gate_parameters_are_views_of_the_stacked_arrays():
 # ----------------------------------------------------------------- bi-encoder
 
 def test_biencoder_single_token_is_two_single_steps():
-    enc = nn.BiEncoder(2, 3, np.random.default_rng(5))
+    enc = nn.BiEncoder(2, 3, nn.Parameters(np.random.default_rng(5)))
     x = np.array([[0.7, -0.2]])
     out = enc.encode(tensor(x))
     hf, _ = enc.forward_cell.run(x)
@@ -161,7 +162,7 @@ def test_biencoder_single_token_is_two_single_steps():
 
 
 def test_biencoder_palindrome_with_shared_cell():
-    enc = nn.BiEncoder(2, 3, np.random.default_rng(9))
+    enc = nn.BiEncoder(2, 3, nn.Parameters(np.random.default_rng(9)))
     enc.reverse_cell.weight[...] = enc.forward_cell.weight
     enc.reverse_cell.bias[...] = enc.forward_cell.bias
     xs = np.array([[0.1, 0.4], [-0.9, 0.2], [0.1, 0.4]])
@@ -176,7 +177,7 @@ def test_biencoder_palindrome_with_shared_cell():
 
 
 def test_biencoder_shapes():
-    enc = nn.BiEncoder(3, 4, np.random.default_rng(0))
+    enc = nn.BiEncoder(3, 4, nn.Parameters(np.random.default_rng(0)))
     outs = enc.encode(tensor(np.ones((5, 3))))
     assert outs.shape == (5, 8)
     assert enc.output_size == 8
@@ -185,13 +186,13 @@ def test_biencoder_shapes():
 
 
 def test_biencoder_rejects_empty_sequence():
-    enc = nn.BiEncoder(2, 2, np.random.default_rng(0))
+    enc = nn.BiEncoder(2, 2, nn.Parameters(np.random.default_rng(0)))
     with pytest.raises(InvalidInputError):
         enc.encode(tensor(np.zeros((0, 2))))
 
 
 def test_biencoder_finals_are_sequence_ends():
-    enc = nn.BiEncoder(2, 3, np.random.default_rng(3))
+    enc = nn.BiEncoder(2, 3, nn.Parameters(np.random.default_rng(3)))
     xs = np.array([[0.2, 0.1], [1.0, -1.0], [0.5, 0.5]])
     outs = enc.encode(tensor(xs)).data
     final_fwd = enc.forward_cell.run(xs)[0][-1]
@@ -202,7 +203,7 @@ def test_biencoder_finals_are_sequence_ends():
 
 def test_biencoder_gradients_match_finite_differences():
     rng = np.random.default_rng(13)
-    enc = nn.BiEncoder(3, 4, rng)
+    enc = nn.BiEncoder(3, 4, nn.Parameters(rng))
     x = nn.Parameter(rng.normal(size=(5, 3)))
     target = rng.normal(size=(5, 8))
 
@@ -217,8 +218,9 @@ def test_biencoder_gradients_match_finite_differences():
 
 
 def _encode(x):
-    enc = nn.BiEncoder(3, 2, np.random.default_rng(0))
-    for _, p in enc.named_parameters():
+    params = nn.Parameters(np.random.default_rng(0))
+    enc = nn.BiEncoder(3, 2, params)
+    for _, p in params.named:
         p.needs_grad = x.needs_grad  # the weights are inputs too: frozen with x
     return enc.encode(x)
 
@@ -314,7 +316,7 @@ def test_gradient_accumulates_across_uses():
 
 def test_dense_chain_matches_finite_differences():
     rng = np.random.default_rng(11)
-    layer = nn.DenseLayer(3, 2, "tanh", rng)
+    layer = nn.DenseLayer(3, 2, "tanh", nn.Parameters(rng))
     x = rng.normal(size=3)
     target = rng.normal(size=2)
 
@@ -459,7 +461,7 @@ def test_matrix_chain_matches_finite_differences():
     rng = np.random.default_rng(21)
     table = nn.Parameter(rng.normal(size=(4, 3)))
     root = nn.Parameter(rng.normal(size=3))
-    layer = nn.DenseLayer(6, 5, "softmax", rng)
+    layer = nn.DenseLayer(6, 5, "softmax", nn.Parameters(rng))
     index = np.array([2, 0, 2, 3, 1])  # repeated rows accumulate
 
     def forward():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from latentheads.errors import CheckpointError
 from latentheads.model import LhrModel, ModelConfig
 from latentheads.tokens import EncoderConfig
 
-from lhr_testutil import fixture_path, make_treebank, tiny_model
+from lhr_testutil import copy_with_huge_header, fixture_path, make_treebank, tiny_model
 
 
 @pytest.fixture(scope="module")
@@ -185,9 +186,14 @@ def test_meta_config_must_name_exactly_the_config_fields(model, tmp_path, where,
     (lambda meta: meta["config"].update(context_hidden=0), "context_hidden must be positive"),
     (lambda meta: meta["seen_pairs"].append(["nolabel", meta["seen_pairs"][0][1]]),
      "symbol 'nolabel' not in vocabulary"),
+    # sizes the archive does not hold fail at the first parameter they change
+    (lambda meta: meta["config"].update(context_hidden=1000000),
+     "parameter 'context_encoder.forward.w_input' has shape"),
+    (lambda meta: meta["config"].update(labeler_hidden=100000),
+     "parameter 'labeler.shared.weights' has shape"),
 ], ids=["meta-list", "int-as-str", "int-as-float", "counts-as-str", "bool-as-str",
         "pair-too-short", "pair-too-long", "pair-of-list", "symbols-as-ints",
-        "zero-hidden", "pair-label-unknown"])
+        "zero-hidden", "pair-label-unknown", "huge-context-hidden", "huge-labeler-hidden"])
 def test_meta_values_of_the_wrong_type_raise(model, tmp_path, mutate, message):
     src = tmp_path / "m.npz"
     dst = tmp_path / "typed.npz"
@@ -197,6 +203,31 @@ def test_meta_values_of_the_wrong_type_raise(model, tmp_path, mutate, message):
         serialize.load_model(str(dst))
     assert str(info.value).startswith(str(dst))
     assert message in str(info.value)
+
+
+def test_oversized_config_is_rejected_before_its_weights_are_allocated(model, tmp_path):
+    src = tmp_path / "m.npz"
+    dst = tmp_path / "wide.npz"
+    serialize.save_model(model, str(src))
+    rewrite_meta(src, dst, lambda meta: meta["config"].update(context_hidden=3000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="'context_encoder.forward.w_input' has shape"):
+            serialize.load_model(str(dst))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # building the model first drew about 2.2 GB of weights before comparing
+    assert peak < 10 * 2**20
+
+
+def test_member_declaring_an_enormous_shape_raises(model, tmp_path):
+    src = tmp_path / "m.npz"
+    dst = tmp_path / "enormous.npz"
+    serialize.save_model(model, str(src))
+    copy_with_huge_header(src, dst)
+    with pytest.raises(CheckpointError, match=f"cannot read checkpoint {dst}"):
+        serialize.load_model(str(dst))
 
 
 def test_dropped_parameter_raises(model, tmp_path):

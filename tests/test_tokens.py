@@ -28,7 +28,7 @@ def encoder(mode="word+pos", alpha=0.25):
     words, pos = small_vocabs()
     cfg = EncoderConfig(word_dim=5, pos_dim=3, alpha_word_dropout=alpha,
                         mode=mode, char_dim=4, char_hidden=3)
-    return TokenEncoder(words, pos, cfg, np.random.default_rng(0))
+    return TokenEncoder(words, pos, cfg, nn.Parameters(np.random.default_rng(0)))
 
 
 # ----------------------------------------------------------- drop probability
@@ -175,7 +175,7 @@ def test_char_encoder_single_character_word():
     words, _ = small_vocabs()
     cfg = EncoderConfig(char_dim=4, char_hidden=3, pos_dim=6)
     ce = CharEncoder(char_vocab_from_words(words), cfg, out_dim=6,
-                     rng=np.random.default_rng(2))
+                     params=nn.Parameters(np.random.default_rng(2)))
     out = ce.encode(["a"])
     assert out.data.shape == (1, 6)
 
@@ -184,7 +184,7 @@ def test_char_encoder_deterministic():
     words, _ = small_vocabs()
     cfg = EncoderConfig(char_dim=4, char_hidden=3)
     ce = CharEncoder(char_vocab_from_words(words), cfg, out_dim=5,
-                     rng=np.random.default_rng(2))
+                     params=nn.Parameters(np.random.default_rng(2)))
     assert np.array_equal(ce.encode(["dog"]).data, ce.encode(["dog"]).data)
 
 
@@ -192,7 +192,7 @@ def test_char_encoder_is_order_sensitive():
     words = Vocabulary(["cat", "act"], counts={"cat": 2, "act": 2})
     cfg = EncoderConfig(char_dim=4, char_hidden=3)
     ce = CharEncoder(char_vocab_from_words(words), cfg, out_dim=5,
-                     rng=np.random.default_rng(3))
+                     params=nn.Parameters(np.random.default_rng(3)))
     assert not np.allclose(ce.encode(["cat"]).data, ce.encode(["act"]).data)
 
 
