@@ -42,6 +42,12 @@ def write_lss_text(model: LhrModel, tb: Treebank, path: str) -> None:
 
 
 def read_lss_text(path: str) -> list[list[tuple[str, np.ndarray]]]:
+    def count(text: str) -> int:
+        n = int(text)
+        if n < 0:
+            raise DataFormatError(f"{path}:{lineno}: negative count {n}")
+        return n
+
     lines = read_lines(path)
     lineno = 1  # of the line being read
     try:
@@ -49,12 +55,12 @@ def read_lss_text(path: str) -> list[list[tuple[str, np.ndarray]]]:
         if len(header) != 4 or header[:2] != ["lss", "1"]:
             raise DataFormatError(f"{path} is not a text latent-structure file")
         out = []
-        for _ in range(int(header[3])):
+        for _ in range(count(header[3])):
             lineno += 1
             parts = lines[lineno - 1].split()
             if len(parts) != 6 or parts[0] != "sentence":
                 raise DataFormatError(f"{path}:{lineno}: malformed sentence header {parts!r}")
-            n_tokens, dim = int(parts[3]), int(parts[5])
+            n_tokens, dim = count(parts[3]), count(parts[5])
             rows = []
             for _ in range(n_tokens):
                 lineno += 1
@@ -69,6 +75,9 @@ def read_lss_text(path: str) -> list[list[tuple[str, np.ndarray]]]:
         raise DataFormatError(f"{path}: truncated latent-structure file") from None
     except ValueError as exc:  # a count or a value that is not a number
         raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+    if len(lines) > lineno:
+        raise DataFormatError(f"{path}:{lineno + 1}: text after the last of the "
+                              f"{len(out)} sentences the header declares")
     return out
 
 
@@ -120,6 +129,9 @@ def read_lss_binary(path: str) -> list[list[tuple[str, np.ndarray]]]:
                 vec = np.frombuffer(take(fh, 8 * dim), dtype="<f8").astype(np.float64)
                 rows.append((form, vec))
             out.append(rows)
+        if fh.tell() != size:
+            raise DataFormatError(f"{path}: {size - fh.tell()} bytes after the last of the "
+                                  f"{n_sentences} sentences the header declares")
     return out
 
 

@@ -125,20 +125,28 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable tensor carrying its gradient and Adam accumulators.
+    """Trainable tensor: its weight, and training state made when training reaches it.
 
-    A fused layer may re-point `data` and `grad` at views into larger arrays,
-    so that it can accumulate into several parameters with one product.
+    `grad` is a zero array made on its first read, then kept; the Adam
+    moments `adam_m` and `adam_v` are made by the first `adam_step`.
     """
 
-    __slots__ = ("adam_m", "adam_v", "step_count")
+    __slots__ = ("_grad", "adam_m", "adam_v", "step_count")
 
     def __init__(self, data):
         super().__init__(data, needs_grad=True)
-        self.grad = np.zeros_like(self.data)
-        self.adam_m = np.zeros_like(self.data)
-        self.adam_v = np.zeros_like(self.data)
+        self.adam_m = self.adam_v = None
         self.step_count = 0
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._grad = value
 
 
 def _record(data, parents: tuple, bw) -> Tensor:
@@ -399,9 +407,9 @@ class LstmCell:
 
     Row blocks of `weight` and `bias` are the gates in GATES order, each an
     affine map over [x; h_prev]. Every gate's weight and bias is declared as
-    a Parameter, then re-pointed at views of its block, so Adam and the
-    checkpoint see one named array per gate. Forget-gate bias starts at 1.0
-    so early training does not wipe the cell state.
+    a Parameter whose `data` is then re-pointed at a view of its block, so
+    Adam and the checkpoint see one named array per gate. Forget-gate bias
+    starts at 1.0 so early training does not wipe the cell state.
     """
 
     GATES = ("input", "forget", "output", "candidate")
@@ -417,12 +425,9 @@ class LstmCell:
                  for gate in self.GATES]
         self.weight = np.vstack([w.data for w, _ in gates])
         self.bias = np.concatenate([b.data for _, b in gates])
-        self.weight_grad = np.zeros_like(self.weight)
-        self.bias_grad = np.zeros_like(self.bias)
+        self.gates = gates
         for k, (gate, (w, b)) in enumerate(zip(self.GATES, gates)):
-            block = slice(k * h, (k + 1) * h)
-            w.data, w.grad = self.weight[block], self.weight_grad[block]
-            b.data, b.grad = self.bias[block], self.bias_grad[block]
+            w.data, b.data = self.weight[k * h:(k + 1) * h], self.bias[k * h:(k + 1) * h]
             setattr(self, f"w_{gate}", w)
             setattr(self, f"b_{gate}", b)
 
@@ -455,8 +460,8 @@ class LstmCell:
     def backprop(self, cache: tuple, d_hs: np.ndarray, need_dx: bool) -> np.ndarray | None:
         """Backpropagation through time for one `run`.
 
-        Adds the weight and bias gradients of the whole sequence into the
-        stacked gradient arrays and returns the gradient for x, if asked.
+        Adds the weight and bias gradients of the whole sequence into each
+        gate's `grad` and returns the gradient for x, if asked.
         """
         x, gates, cs, hs = cache
         n, h_size = hs.shape
@@ -482,8 +487,10 @@ class LstmCell:
             row *= slope[t]
             dc = dc * f[t]
             dh = row @ w_h
-        self.weight_grad += dz.T @ np.hstack((x, h_prev))
-        self.bias_grad += dz.sum(axis=0)
+        dw, db = dz.T @ np.hstack((x, h_prev)), dz.sum(axis=0)
+        for k, (w, b) in enumerate(self.gates):
+            _acc(w, dw[k * h_size:(k + 1) * h_size])
+            _acc(b, db[k * h_size:(k + 1) * h_size])
         return dz @ self.weight[:, :self.input_size] if need_dx else None
 
 
@@ -539,13 +546,13 @@ def adam_step(params: Iterable, lr: float = 0.001, beta1: float = 0.9,
         if not np.all(np.isfinite(p.grad)):
             raise NonFiniteError(f"non-finite gradient in parameter {name!r}")
     for _, p in items:
-        p.step_count += 1
-        t = p.step_count
+        if p.adam_m is None:
+            p.adam_m, p.adam_v = np.zeros_like(p.data), np.zeros_like(p.data)
+        t = p.step_count = p.step_count + 1
         p.adam_m *= beta1
         p.adam_m += (1.0 - beta1) * p.grad
         p.adam_v *= beta2
         p.adam_v += (1.0 - beta2) * (p.grad * p.grad)
-        m_hat = p.adam_m / (1.0 - beta1 ** t)
-        v_hat = p.adam_v / (1.0 - beta2 ** t)
+        m_hat, v_hat = p.adam_m / (1.0 - beta1 ** t), p.adam_v / (1.0 - beta2 ** t)
         p.data -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
         p.grad[...] = 0.0

@@ -144,8 +144,9 @@ def load_model(path: str) -> LhrModel:
             and all(_is_str_list(p) and len(p) == 2 for p in seen_pairs)):
         raise CheckpointError(f"{path} meta field 'seen_pairs' is not a list of "
                               "[label, pos] string pairs")
-    source = _Archive(path, {name[len("param/"):]: value
-                             for name, value in arrays.items() if name.startswith("param/")})
+    # handed over, not shared: each array is freed once its module has taken it
+    source = _Archive(path, {name[len("param/"):]: arrays.pop(name)
+                             for name in list(arrays) if name.startswith("param/")})
     try:
         model = LhrModel(*vocabs, seen_pairs, cfg, source=source)
     except (ConfigurationError, InvalidInputError) as exc:

@@ -8,6 +8,7 @@ alpha / (count + alpha), so rare words train the unknown representation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,9 @@ class EncoderConfig:
         for name in ("word_dim", "pos_dim", "char_dim", "char_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
-        if self.alpha_word_dropout < 0:
-            raise ConfigurationError("alpha_word_dropout must be non-negative")
+        if not (math.isfinite(self.alpha_word_dropout) and self.alpha_word_dropout >= 0):
+            raise ConfigurationError("alpha_word_dropout must be finite and non-negative, "
+                                     f"got {self.alpha_word_dropout}")
 
 
 def drop_probability(word_count: int, alpha: float) -> float:

@@ -8,6 +8,7 @@ sentence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,15 +40,16 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be positive, got {self.epochs}")
-        if self.lr <= 0:
-            raise ConfigurationError(f"learning rate must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigurationError(f"lr must be finite and positive, got {self.lr}")
         if self.loss not in LOSSES:
             raise ConfigurationError(f"unknown loss {self.loss!r}, expected one of {LOSSES}")
         if self.root_target not in ROOT_TARGETS:
             raise ConfigurationError(
                 f"unknown root target {self.root_target!r}, expected one of {ROOT_TARGETS}")
-        if self.labeler_weight < 0:
-            raise ConfigurationError("labeler weight must be non-negative")
+        if not (math.isfinite(self.labeler_weight) and self.labeler_weight >= 0):
+            raise ConfigurationError(
+                f"labeler_weight must be finite and non-negative, got {self.labeler_weight}")
 
 
 def _gold_head(tok) -> int:

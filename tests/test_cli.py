@@ -280,6 +280,21 @@ def test_missing_treebank_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--labeler-weight", "nan", "labeler_weight"),
+    ("--alpha", "nan", "alpha_word_dropout"),
+    ("--alpha", "inf", "alpha_word_dropout"),
+    ("--lr", "inf", "lr"),
+    ("--lr", "nan", "lr"),
+])
+def test_non_finite_setting_exits_1_naming_the_field(tmp_path, capsys, flag, value, field):
+    path = tmp_path / "model.npz"
+    assert main(train_args(path, flag, value)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be finite") and "Traceback" not in err
+    assert not path.exists()
+
+
 def test_corrupt_checkpoint_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.npz"
     bad.write_bytes(b"nope")

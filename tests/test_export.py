@@ -225,3 +225,25 @@ def test_binary_reader_rejects_non_utf8_form(tmp_path):
     with pytest.raises(DataFormatError,
                        match=f"^{path}: sentence 0 token 0: form is not valid UTF-8"):
         export.read_lss_binary(str(path))
+
+
+@pytest.mark.parametrize("text, where", [
+    ("lss 1 sentences 1\nsentence 0 tokens 1 dim 1\nword\t1.0\n"
+     "sentence 1 tokens 1 dim 1\nword\t2.0\n", "4: text after the last of the 1 "),
+    ("lss 1 sentences -1\n", "1: negative count -1"),
+    ("lss 1 sentences 1\nsentence 0 tokens -3 dim 1\n", "2: negative count -3"),
+], ids=["undeclared-sentence", "negative-sentences", "negative-tokens"])
+def test_text_reader_accepts_only_what_the_header_declares(tmp_path, text, where):
+    path = tmp_path / "bad.lss"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match=f"^{path}:{where}"):
+        export.read_lss_text(str(path))
+
+
+def test_binary_reader_rejects_bytes_after_the_last_sentence(model, bank, tmp_path):
+    path = tmp_path / "v.bin"
+    export.export_lss(model, bank, str(path), fmt="binary")
+    longer = tmp_path / "longer.bin"
+    longer.write_bytes(path.read_bytes() + b"\x00\x00\x00")
+    with pytest.raises(DataFormatError, match=f"^{longer}: 3 bytes after the last of the "):
+        export.read_lss_binary(str(longer))

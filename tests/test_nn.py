@@ -144,10 +144,9 @@ def test_lstm_forget_bias_initialized_to_one():
 def test_lstm_gate_parameters_are_views_of_the_stacked_arrays():
     cell = nn.LstmCell(2, 3, nn.Parameters(np.random.default_rng(0)))
     cell.w_output.data[...] = 7.0
-    cell.b_candidate.grad[...] = 2.0
+    cell.b_candidate.data[...] = 2.0
     assert np.all(cell.weight[6:9] == 7.0)
-    assert np.all(cell.bias_grad[9:12] == 2.0)
-    assert np.all(cell.bias_grad[:9] == 0.0)
+    assert np.all(cell.bias[9:12] == 2.0)
 
 
 # ----------------------------------------------------------------- bi-encoder
@@ -346,6 +345,21 @@ def test_adam_first_step_size_is_learning_rate():
     assert abs((5.0 - p.data[0]) - 0.001) < 1e-6
     assert p.step_count == 1
     assert np.array_equal(p.grad, np.zeros(1))
+
+
+def test_parameter_makes_its_grad_on_first_read_and_keeps_it():
+    p = nn.Parameter(np.array([1.0, -2.0]))
+    grad = p.grad
+    assert np.array_equal(grad, np.zeros(2))
+    assert p.grad is grad
+
+
+def test_adam_makes_its_moments_on_the_first_step():
+    p = nn.Parameter(np.array([5.0]))
+    assert p.adam_m is None and p.adam_v is None
+    p.grad[...] = 2.0
+    nn.adam_step([("p", p)])
+    assert np.allclose(p.adam_m, [0.2]) and np.allclose(p.adam_v, [0.004])
 
 
 def test_adam_descends_on_quadratic():

@@ -184,6 +184,8 @@ def test_meta_config_must_name_exactly_the_config_fields(model, tmp_path, where,
     (lambda meta: meta["word_vocab"].update(symbols=[1, 2, 3]), "'word_vocab.symbols'"),
     # values of the right type that the model itself rejects
     (lambda meta: meta["config"].update(context_hidden=0), "context_hidden must be positive"),
+    (lambda meta: meta["config"]["encoder"].update(alpha_word_dropout=float("nan")),
+     "alpha_word_dropout must be finite"),
     (lambda meta: meta["seen_pairs"].append(["nolabel", meta["seen_pairs"][0][1]]),
      "symbol 'nolabel' not in vocabulary"),
     # sizes the archive does not hold fail at the first parameter they change
@@ -193,7 +195,7 @@ def test_meta_config_must_name_exactly_the_config_fields(model, tmp_path, where,
      "parameter 'labeler.shared.weights' has shape"),
 ], ids=["meta-list", "int-as-str", "int-as-float", "counts-as-str", "bool-as-str",
         "pair-too-short", "pair-too-long", "pair-of-list", "symbols-as-ints",
-        "zero-hidden", "pair-label-unknown", "huge-context-hidden", "huge-labeler-hidden"])
+        "zero-hidden", "nan-alpha", "pair-label-unknown", "huge-context-hidden", "huge-labeler-hidden"])
 def test_meta_values_of_the_wrong_type_raise(model, tmp_path, mutate, message):
     src = tmp_path / "m.npz"
     dst = tmp_path / "typed.npz"
@@ -219,6 +221,42 @@ def test_oversized_config_is_rejected_before_its_weights_are_allocated(model, tm
         tracemalloc.stop()
     # building the model first drew about 2.2 GB of weights before comparing
     assert peak < 10 * 2**20
+
+
+@pytest.fixture(scope="module")
+def wide_checkpoint(bank, tmp_path_factory):
+    """A checkpoint at dims where the weights, not the vocabularies, fill memory."""
+    path = tmp_path_factory.mktemp("wide") / "wide.npz"
+    serialize.save_model(tiny_model(bank, seed=2, word_dim=32, context_hidden=64,
+                                    heads_hidden=64, labeler_hidden=32), str(path))
+    return str(path)
+
+
+def _weight_bytes(model) -> int:
+    return sum(p.data.nbytes for _, p in model.named_parameters())
+
+
+def test_loaded_model_holds_its_weights_and_no_training_state(wide_checkpoint, bank):
+    tracemalloc.start()
+    try:
+        loaded = serialize.load_model(wide_checkpoint)
+        decoder.parse(loaded, bank.sentences[0])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # gradients and Adam moments made up front held about 4x the weights
+    assert held < 1.5 * _weight_bytes(loaded)
+
+
+def test_loading_frees_each_archive_array_once_its_module_has_taken_it(wide_checkpoint):
+    tracemalloc.start()
+    try:
+        loaded = serialize.load_model(wide_checkpoint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every LSTM gate array outliving its copy into the stacked block peaked higher
+    assert peak < 1.6 * _weight_bytes(loaded)
 
 
 def test_member_declaring_an_enormous_shape_raises(model, tmp_path):

@@ -168,6 +168,9 @@ def test_config_validation():
         EncoderConfig(mode="word+morph").validate()
     with pytest.raises(ConfigurationError):
         EncoderConfig(alpha_word_dropout=-0.1).validate()
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigurationError, match="^alpha_word_dropout must be finite"):
+            EncoderConfig(alpha_word_dropout=value).validate()
     EncoderConfig().validate()
 
 

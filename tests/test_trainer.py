@@ -56,6 +56,10 @@ def test_config_rejects_bad_values():
         TrainConfig(root_target="none").validate()
     with pytest.raises(ConfigurationError):
         TrainConfig(labeler_weight=-1.0).validate()
+    for field in ("lr", "labeler_weight"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+                TrainConfig(**{field: value}).validate()
     TrainConfig().validate()
 
 
