@@ -51,6 +51,7 @@ class Token:
 class Sentence:
     tokens: list[Token]
     comments: list[str] = field(default_factory=list)
+    origin: str = field(default="", compare=False)  # "path:line" of a read sentence
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -220,7 +221,7 @@ def _parse_block(lines: list[tuple[int, str]], comments: list[str], fmt: str,
     problem = tree_problem([tok.gold_head for tok in tokens], whole=strict)
     if problem is not None:
         raise DataFormatError(f"{where}: {problem}")
-    return Sentence(tokens=tokens, comments=comments)
+    return Sentence(tokens=tokens, comments=comments, origin=f"{path}:{lines[0][0]}")
 
 
 def read_conll(path: str, fmt: str = "conllu", strict: bool = True,

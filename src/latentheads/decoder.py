@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn
 from .conll import Sentence, find_cycles, tree_problem
-from .errors import ConfigurationError, InvalidInputError
+from .errors import InvalidInputError
 from .model import EncodedSentence, LhrModel
 
 
@@ -25,7 +25,7 @@ class DependencyTree:
     labels: list[str | None]
     pos: list[str | None]
     arc_scores: list[float]
-    needed_repair: bool | None = None
+    needed_repair: bool = False
 
     def __len__(self) -> int:
         return len(self.heads)
@@ -95,48 +95,45 @@ def assign_heads(scores: ScoreMatrix, root_token: int) -> DependencyTree:
                           arc_scores=arc_scores)
 
 
-def _creates_cycle(heads: list[int], dependent: int, candidate: int) -> bool:
-    # attaching dependent -> candidate loops iff dependent is an ancestor of candidate
-    cur = candidate
-    steps = 0
-    while cur != 0 and steps <= len(heads):
-        if cur == dependent:
-            return True
-        cur = heads[cur - 1]
-        steps += 1
-    return False
+def _subtree(heads: list[int], dep: int) -> np.ndarray:
+    """inside[j - 1]: token j's head chain reaches `dep` (dep included)."""
+    reach: list[bool | None] = [None] * (len(heads) + 1)
+    reach[0], reach[dep] = False, True
+    for start in range(1, len(heads) + 1):
+        path, cur = [], start
+        while reach[cur] is None:
+            reach[cur] = False  # a walk that comes back here loops without dep
+            path.append(cur)
+            cur = heads[cur - 1]
+        for node in path:
+            reach[node] = reach[cur]
+    return np.array(reach[1:])
 
 
 def repair_cycles(tree: DependencyTree, scores: ScoreMatrix) -> DependencyTree:
     """Break every cycle by rewiring its weakest arc, never touching the root.
 
-    Per cycle (smallest-member first): drop the arc with the lowest score
-    (ties: lowest dependent index) and reattach that dependent to the most
-    similar context vector that does not reintroduce a cycle. If every
-    candidate loops, fall back to the root token, which is always safe.
-    Each pass removes one cycle and adds none, so this terminates.
+    Per cycle, smallest member first: the arc with the lowest score (ties:
+    lowest dependent) moves to the dependent's most similar token outside its
+    own subtree (ties: lowest index). One pass is exact: cycles are disjoint,
+    because each token has one head. Moving a cycle's dependent to a head
+    outside its own subtree breaks that cycle, creates no new cycle and changes
+    no arc of any other cycle. The root token's chain ends at 0 at once, so it
+    is never inside the subtree, and a candidate always exists.
     """
+    if 0 not in tree.heads:
+        raise InvalidInputError("cannot repair a head list with no root token")
     heads = list(tree.heads)
     arc_scores = list(tree.arc_scores)
-    n = len(heads)
-    repaired = False
-    while True:
-        cycles = find_cycles(heads)
-        if not cycles:
-            break
-        repaired = True
-        cycle = cycles[0]
+    cycles = find_cycles(heads)
+    for cycle in cycles:
         dep = min(cycle, key=lambda d: (arc_scores[d - 1], d))
-        row = scores.sim[dep - 1]
-        order = sorted((j for j in range(1, n + 1) if j != dep),
-                       key=lambda j: (-row[j - 1], j))
-        new_head = next((j for j in order if not _creates_cycle(heads, dep, j)), None)
-        if new_head is None:
-            new_head = tree.heads.index(0) + 1
-        heads[dep - 1] = new_head
-        arc_scores[dep - 1] = float(row[new_head - 1])
+        row = np.where(_subtree(heads, dep), -np.inf, scores.sim[dep - 1])
+        best = int(np.argmax(row))  # first maximum: ties go to the lowest index
+        heads[dep - 1] = best + 1
+        arc_scores[dep - 1] = float(row[best])
     return DependencyTree(heads=heads, labels=list(tree.labels), pos=list(tree.pos),
-                          arc_scores=arc_scores, needed_repair=repaired)
+                          arc_scores=arc_scores, needed_repair=bool(cycles))
 
 
 def assign_labels_pos(model: LhrModel, enc: EncodedSentence, tree: DependencyTree,
@@ -148,26 +145,13 @@ def assign_labels_pos(model: LhrModel, enc: EncodedSentence, tree: DependencyTre
     With pos_correction off, the externally predicted tag is kept in the
     output instead of the labeler's choice.
     """
-    if not model.seen_pairs:
-        raise ConfigurationError("no (label, POS) pairs to choose from")
-    with nn.no_grad():
-        context = enc.context_vectors
-        label_scores, pos_scores = model.score_label_pos(
-            context, model.governor_vectors(context, tree.heads))
-    combined = (label_scores.data[:, model._pair_label_idx]
-                + pos_scores.data[:, model._pair_pos_idx])
-    labels: list[str | None] = []
-    pos_tags: list[str | None] = []
-    for i, best in enumerate(np.argmax(combined, axis=1)):
-        label, pos = model.seen_pairs[best]
-        labels.append(label)
-        if pos_correction:
-            pos_tags.append(pos)
-        else:
-            external = sentence.tokens[i].predicted_pos if sentence is not None else None
-            pos_tags.append(external if external is not None else pos)
-    return DependencyTree(heads=list(tree.heads), labels=labels, pos=pos_tags,
-                          arc_scores=list(tree.arc_scores),
+    pairs = model.best_pairs(enc.context_vectors, tree.heads)
+    pos_tags = [pos for _, pos in pairs]
+    if not pos_correction and sentence is not None:
+        pos_tags = [pos if tok.predicted_pos is None else tok.predicted_pos
+                    for tok, pos in zip(sentence.tokens, pos_tags, strict=True)]
+    return DependencyTree(heads=list(tree.heads), labels=[label for label, _ in pairs],
+                          pos=pos_tags, arc_scores=list(tree.arc_scores),
                           needed_repair=tree.needed_repair)
 
 
@@ -176,8 +160,7 @@ def parse(model: LhrModel, sentence: Sentence, pos_correction: bool = True) -> D
     with nn.no_grad():
         enc = model.encode_sentence(sentence, training=False)
         scores = build_scores(enc, model.root_vector)
-        root_token = select_root(scores)
-        tree = assign_heads(scores, root_token)
+        tree = assign_heads(scores, select_root(scores))
         tree = repair_cycles(tree, scores)
         tree = assign_labels_pos(model, enc, tree, sentence=sentence,
                                  pos_correction=pos_correction)

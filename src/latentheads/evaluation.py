@@ -45,10 +45,11 @@ def evaluate(treebank: Treebank, trees: Sequence[DependencyTree],
     head_hits = label_hits = pos_hits = scored = 0
     root_hits = root_total = 0
     clean = 0
-    for sent, tree in zip(treebank.sentences, trees):
+    for k, (sent, tree) in enumerate(zip(treebank.sentences, trees)):
         if len(tree) != len(sent.tokens):
-            raise InvalidInputError("tree length does not match sentence length")
-        if tree.needed_repair is not True:
+            raise InvalidInputError(f"{sent.origin or f'sentence {k}'}: tree has "
+                                    f"{len(tree)} tokens, sentence has {len(sent.tokens)}")
+        if not tree.needed_repair:
             clean += 1
         gold_roots = [t.index for t in sent.tokens if t.gold_head == 0]
         if len(gold_roots) == 1:

@@ -34,8 +34,7 @@ def write_lss_text(model: LhrModel, tb: Treebank, path: str) -> None:
         fh.write(f"lss 1 sentences {len(tb.sentences)}\n")
         for k, sent in enumerate(tb.sentences):
             rows = sentence_vectors(model, sent)
-            dim = rows[0][1].shape[0]
-            fh.write(f"sentence {k} tokens {len(rows)} dim {dim}\n")
+            fh.write(f"sentence {k} tokens {len(rows)} dim {rows[0][1].shape[0]}\n")
             for form, vec in rows:
                 floats = " ".join("%.17g" % v for v in vec)
                 fh.write(f"{form}\t{floats}\n")
@@ -52,15 +51,19 @@ def read_lss_text(path: str) -> list[list[tuple[str, np.ndarray]]]:
     lineno = 1  # of the line being read
     try:
         header = lines[0].split()
-        if len(header) != 4 or header[:2] != ["lss", "1"]:
-            raise DataFormatError(f"{path} is not a text latent-structure file")
+        if len(header) != 4 or header[:3] != ["lss", "1", "sentences"]:
+            raise DataFormatError(f"{path}:1: not a text latent-structure file header")
         out = []
-        for _ in range(count(header[3])):
+        for k in range(count(header[3])):
             lineno += 1
             parts = lines[lineno - 1].split()
-            if len(parts) != 6 or parts[0] != "sentence":
-                raise DataFormatError(f"{path}:{lineno}: malformed sentence header {parts!r}")
+            if len(parts) != 6 or parts[:3] + parts[4:5] != ["sentence", str(k), "tokens", "dim"]:
+                raise DataFormatError(f"{path}:{lineno}: malformed sentence header {parts!r}, "
+                                      f"expected 'sentence {k} tokens N dim D'")
             n_tokens, dim = count(parts[3]), count(parts[5])
+            if k and dim != width:
+                raise DataFormatError(f"{path}:{lineno}: dim {dim}, but sentence 0 has {width}")
+            width = dim
             rows = []
             for _ in range(n_tokens):
                 lineno += 1
@@ -94,8 +97,7 @@ def write_lss_binary(model: LhrModel, tb: Treebank, path: str) -> None:
         fh.write(struct.pack("<I", len(tb.sentences)))
         for k, sent in enumerate(tb.sentences):
             rows = sentence_vectors(model, sent)
-            dim = rows[0][1].shape[0]
-            fh.write(struct.pack("<II", len(rows), dim))
+            fh.write(struct.pack("<II", len(rows), rows[0][1].shape[0]))
             for form, vec in rows:
                 raw = form.encode("utf-8")
                 fh.write(struct.pack("<H", len(raw)))
@@ -118,6 +120,10 @@ def read_lss_binary(path: str) -> list[list[tuple[str, np.ndarray]]]:
         out = []
         for k in range(n_sentences):
             n_tokens, dim = struct.unpack("<II", take(fh, 8))
+            if k and dim != width:
+                raise DataFormatError(f"{path}: sentence {k} has dim {dim}, "
+                                      f"but sentence 0 has {width}")
+            width = dim
             rows = []
             for j in range(n_tokens):
                 (form_len,) = struct.unpack("<H", take(fh, 2))

@@ -97,11 +97,9 @@ class LhrModel:
         self.labeler = LabelerHead(config.context_size, config.labeler_hidden,
                                    len(label_vocab), len(pos_vocab),
                                    config.labeler_softmax, params, "labeler.")
-        # precomputed index arrays for the joint label/POS argmax over seen pairs
-        self._pair_label_idx = np.array(
-            [label_vocab.index_of(l) for l, _ in self.seen_pairs], dtype=int)
-        self._pair_pos_idx = np.array(
-            [pos_vocab.index_of(p) for _, p in self.seen_pairs], dtype=int)
+        # label and POS row of each seen pair, for the joint argmax of best_pairs
+        self._pair_rows = np.array([(label_vocab.index_of(l), pos_vocab.index_of(p))
+                                    for l, p in self.seen_pairs], dtype=int).reshape(-1, 2)
 
     @property
     def context_size(self) -> int:
@@ -125,6 +123,17 @@ class LhrModel:
             raise ConfigurationError(
                 f"labeler inputs must have rows of length {self.context_size}")
         return self.labeler.score(dependent_c, governor_c_or_root)
+
+    def best_pairs(self, context_vectors: nn.Tensor, heads) -> list[tuple[str, str]]:
+        """Per arc heads[i] -> token i+1, the seen (label, POS) pair scoring highest."""
+        if not self.seen_pairs:
+            raise ConfigurationError("no (label, POS) pairs to choose from")
+        with nn.no_grad():
+            label_scores, pos_scores = self.score_label_pos(
+                context_vectors, self.governor_vectors(context_vectors, heads))
+        label_rows, pos_rows = self._pair_rows.T
+        combined = label_scores.data[:, label_rows] + pos_scores.data[:, pos_rows]
+        return [self.seen_pairs[k] for k in np.argmax(combined, axis=1)]  # ties: first pair
 
     def latent_structure(self, enc: EncodedSentence) -> np.ndarray:
         """Row i is [c_i; h_i], for downstream consumers."""

@@ -141,8 +141,8 @@ def labeler_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentence) -> n
         heads.append(_gold_head(tok))
         if tok.gold_label is None:
             raise InvalidInputError(
-                f"token {tok.index} ({tok.form!r}) has no arc label; disable the "
-                "labeler or train on labeled trees")
+                f"{sentence.origin + ': ' if sentence.origin else ''}token {tok.index} "
+                f"({tok.form!r}) has no arc label; disable the labeler or train on labeled trees")
         li = model.label_vocab.strict_index(tok.gold_label)
         if li is None:
             raise InvalidInputError(

@@ -146,6 +146,22 @@ def test_eval_sentence_count_mismatch_exits_2(trained, tmp_path, capsys):
     assert main(["eval", "--gold", DEV, "--pred", str(short)]) == 2
 
 
+def test_eval_tree_length_mismatch_names_the_gold_sentence(tmp_path, capsys):
+    lines = Path(DEV).read_text(encoding="utf-8").splitlines(keepends=True)
+    short = tmp_path / "short.conllu"
+    short.write_text("".join(lines[:5] + lines[6:]), encoding="utf-8")  # drops token 6
+    assert main(["eval", "--gold", DEV, "--pred", str(short)]) == 1
+    assert f"error: {DEV}:1: tree has 5 tokens, sentence has 6" in capsys.readouterr().err
+
+
+def test_train_on_an_unlabeled_token_names_its_sentence(tmp_path, capsys):
+    bad = tmp_path / "unlabeled.conllu"
+    bad.write_text(Path(DEV).read_text(encoding="utf-8").replace("\tnsubj\t", "\t_\t", 1),
+                   encoding="utf-8")
+    assert main(["train", "--train", str(bad), "--model", str(tmp_path / "m.npz"), *FAST]) == 1
+    assert f"error: {bad}:1: token 2 ('car') has no arc label" in capsys.readouterr().err
+
+
 def test_export_lss_round_trips(trained, tmp_path):
     out = tmp_path / "dev.lss"
     code = main(["export-lss", "--model", trained, "--input", DEV,

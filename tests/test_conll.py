@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from latentheads import conll
-from latentheads.conll import (PunctuationRule, Token, Treebank, Vocabulary,
+from latentheads.conll import (PunctuationRule, Sentence, Token, Treebank, Vocabulary,
                                build_vocabularies, read_conll, write_conll)
 from latentheads.decoder import DependencyTree
 from latentheads.errors import DataFormatError, InvalidInputError
@@ -34,6 +34,14 @@ def test_two_line_block_field_mapping(tmp_path):
     assert [t.gold_head for t in toks] == [2, 0]
     assert [t.gold_label for t in toks] == ["nsubj", "root"]
     assert [t.gold_pos for t in toks] == ["NOUN", "VERB"]
+
+
+def test_read_sentence_records_where_its_first_token_line_is(tmp_path):
+    path = write_file(tmp_path, "# c\n" + TWO_TOKENS + "\n# d\n" + TWO_TOKENS)
+    tb = read_conll(path)
+    assert [s.origin for s in tb.sentences] == [f"{path}:2", f"{path}:6"]
+    built = Sentence(tokens=tb.sentences[0].tokens, comments=["# c"])
+    assert built.origin == "" and built == tb.sentences[0]
 
 
 def test_empty_file_is_empty_treebank(tmp_path):

@@ -12,6 +12,7 @@ from latentheads.conll import build_vocabularies
 from latentheads.model import EncodedSentence, LhrModel
 
 from lhr_testutil import make_sentence, make_treebank, tiny_config, tiny_model
+from test_acceptance import oracle_repair
 
 
 def scores_from(sim, root_sim):
@@ -188,6 +189,29 @@ def test_repair_random_matrices_always_yield_trees():
         sm = scores_from(sim, root_sim)
         tree = repair_cycles(assign_heads(sm, select_root(sm)), sm)
         tree.validate()
+
+
+def test_repair_matches_the_oracle_on_long_sentences():
+    """The networkx reference agrees on 1-60 tokens; a third have forced ties."""
+    several = 0
+    for seed in range(200):
+        rng = np.random.default_rng(5000 + seed)
+        n = int(rng.integers(1, 61))
+        sim, root_sim = rng.uniform(-1, 1, size=(n, n)), rng.uniform(-1, 1, size=n)
+        if seed % 3 == 0:  # rounding ties arc scores and candidate heads
+            sim, root_sim = np.round(sim, 1), np.round(root_sim, 1)
+        sm = scores_from(sim, root_sim)
+        tree = assign_heads(sm, select_root(sm))
+        several += len(find_cycles(tree.heads)) > 1
+        fixed = repair_cycles(tree, sm)
+        assert fixed.heads == oracle_repair(tree.heads, tree.arc_scores, sm), seed
+    assert several >= 40  # one pass must handle many cycles at once
+
+
+def test_repair_rejects_a_head_list_without_root():
+    tree = DependencyTree([2, 1], [None] * 2, [None] * 2, [0.0, 0.0])
+    with pytest.raises(InvalidInputError, match="no root token"):
+        repair_cycles(tree, scores_from(np.zeros((2, 2)), [0.0, 0.0]))
 
 
 def test_tree_validate_rejects_bad_trees():

@@ -132,7 +132,7 @@ def test_cycle_free_rate_reflects_repair_flag():
     trees = [
         tree_from([2, 0], needed_repair=False),
         tree_from([2, 0], needed_repair=True),
-        tree_from([2, 0], needed_repair=None),  # unknown counts as clean
+        DependencyTree([2, 0], [None] * 2, [None] * 2, [0.0] * 2),  # default: False
     ]
     res = evaluate(bank, trees)
     assert res.cycle_free_rate == pytest.approx(2 / 3)

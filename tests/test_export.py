@@ -240,6 +240,33 @@ def test_text_reader_accepts_only_what_the_header_declares(tmp_path, text, where
         export.read_lss_text(str(path))
 
 
+@pytest.mark.parametrize("text, where", [
+    ("lss 1 sentencez 1\nsentence 0 tokens 1 dim 2\nword\t1.0 2.0\n",
+     "1: not a text latent-structure file header"),
+    ("lss 1 sentences 1\nsentence 0 tokenz 1 dim 2\nword\t1.0 2.0\n", "2: malformed"),
+    ("lss 1 sentences 1\nsentence 0 tokens 1 dimm 2\nword\t1.0 2.0\n", "2: malformed"),
+    ("lss 1 sentences 1\nsentence 7 tokens 1 dim 2\nword\t1.0 2.0\n",
+     "2: malformed sentence header .*, expected 'sentence 0 tokens N dim D'"),
+    ("lss 1 sentences 2\nsentence 0 tokens 1 dim 2\nword\t1.0 2.0\n"
+     "sentence 1 tokens 1 dim 1\nword\t1.0\n", "4: dim 1, but sentence 0 has 2"),
+], ids=["file-header-word", "tokens-word", "dim-word", "sentence-index", "width"])
+def test_text_reader_checks_every_header_word_and_width(tmp_path, text, where):
+    path = tmp_path / "bad.lss"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match=f"^{path}:{where}"):
+        export.read_lss_text(str(path))
+
+
+def test_binary_reader_rejects_a_sentence_of_another_width(tmp_path):
+    path = tmp_path / "bad.bin"
+    record = struct.pack("<H", 1) + b"a" + struct.pack("<d", 0.5)
+    path.write_bytes(b"LSS1" + struct.pack("<I", 2) + struct.pack("<II", 1, 1) + record
+                     + struct.pack("<II", 1, 2) + record + struct.pack("<d", 1.5))
+    with pytest.raises(DataFormatError,
+                       match=f"^{path}: sentence 1 has dim 2, but sentence 0 has 1"):
+        export.read_lss_binary(str(path))
+
+
 def test_binary_reader_rejects_bytes_after_the_last_sentence(model, bank, tmp_path):
     path = tmp_path / "v.bin"
     export.export_lss(model, bank, str(path), fmt="binary")
