@@ -121,8 +121,9 @@ def repair_cycles(tree: DependencyTree, scores: ScoreMatrix) -> DependencyTree:
     no arc of any other cycle. The root token's chain ends at 0 at once, so it
     is never inside the subtree, and a candidate always exists.
     """
-    if 0 not in tree.heads:
-        raise InvalidInputError("cannot repair a head list with no root token")
+    problem = tree_problem(tree.heads, whole=False)
+    if problem or 0 not in tree.heads:
+        raise InvalidInputError(f"cannot repair a head list: {problem or 'no root token'}")
     heads = list(tree.heads)
     arc_scores = list(tree.arc_scores)
     cycles = find_cycles(heads)

@@ -534,8 +534,10 @@ class BiEncoder:
         return _record(np.hstack((fwd, rev[::-1])), (x,) + self._params, bw)
 
 
-def adam_step(params: Iterable, lr: float = 0.001, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> None:
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
+def adam_step(params: Iterable, lr: float = 0.001) -> None:
     """One Adam update with bias correction; gradients are reset to zero.
 
     `params` yields (name, Parameter) pairs. Any non-finite gradient fails
@@ -549,10 +551,10 @@ def adam_step(params: Iterable, lr: float = 0.001, beta1: float = 0.9,
         if p.adam_m is None:
             p.adam_m, p.adam_v = np.zeros_like(p.data), np.zeros_like(p.data)
         t = p.step_count = p.step_count + 1
-        p.adam_m *= beta1
-        p.adam_m += (1.0 - beta1) * p.grad
-        p.adam_v *= beta2
-        p.adam_v += (1.0 - beta2) * (p.grad * p.grad)
-        m_hat, v_hat = p.adam_m / (1.0 - beta1 ** t), p.adam_v / (1.0 - beta2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
+        p.adam_m *= ADAM_BETA1
+        p.adam_m += (1.0 - ADAM_BETA1) * p.grad
+        p.adam_v *= ADAM_BETA2
+        p.adam_v += (1.0 - ADAM_BETA2) * (p.grad * p.grad)
+        m_hat, v_hat = p.adam_m / (1.0 - ADAM_BETA1 ** t), p.adam_v / (1.0 - ADAM_BETA2 ** t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
         p.grad[...] = 0.0

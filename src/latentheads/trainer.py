@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import decoder, nn
-from .conll import Sentence, Treebank
+from .conll import Sentence, Treebank, tree_problem
 from .errors import ConfigurationError, InvalidInputError
 from .evaluation import evaluate
 from .model import EncodedSentence, LhrModel
@@ -52,38 +52,34 @@ class TrainConfig:
                 f"labeler_weight must be finite and non-negative, got {self.labeler_weight}")
 
 
-def _gold_head(tok) -> int:
-    if tok.gold_head is None:
-        raise InvalidInputError(
-            f"token {tok.index} ({tok.form!r}) has no gold head; training needs "
-            "fully annotated trees")
-    return tok.gold_head
+def _gold_heads(sentence: Sentence) -> np.ndarray:
+    """Every token's gold head; InvalidInputError unless they form one tree."""
+    heads = [tok.gold_head for tok in sentence.tokens]
+    missing = [tok for tok in sentence.tokens if tok.gold_head is None]
+    problem = f"token {missing[0].index} ({missing[0].form!r}) has no gold head" if missing \
+        else tree_problem(heads)
+    if problem:
+        raise InvalidInputError(f"{sentence.origin + ': ' if sentence.origin else ''}{problem}; "
+                                "training needs one gold tree per sentence")
+    return np.array(heads, dtype=np.intp)
 
 
 def _reconstruction_targets(model: LhrModel, sentence: Sentence, enc: EncodedSentence,
-                            cfg: TrainConfig, overrides) -> list[tuple]:
-    """(token row, target, live governor row or None) per token the loss keeps.
+                            cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(kept token rows, constant targets, live governor row or -1) of the loss.
 
     Punctuation drops out under skip_punct_heads. A root-governed token
     targets the root vector, or with root_target "self" its own context
     vector; any other token targets its gold governor's context vector, whose
-    gradient stays live under rebalance_targets. `overrides` (by token
-    position) replaces a target with a constant.
+    gradient stays live under rebalance_targets.
     """
-    context = enc.context_vectors.data
-    out = []
-    for i, tok in enumerate(sentence.tokens):
-        if cfg.skip_punct_heads and tok.is_punct:
-            continue
-        g = _gold_head(tok)
-        if i in overrides:
-            out.append((i, overrides[i], None))
-        elif g == 0:
-            out.append((i, context[i] if cfg.root_target == "self" else model.root_vector.data,
-                        None))
-        else:
-            out.append((i, context[g - 1], g - 1 if cfg.rebalance_targets else None))
-    return out
+    heads = _gold_heads(sentence)
+    rows = np.flatnonzero([not (cfg.skip_punct_heads and tok.is_punct) for tok in sentence.tokens])
+    kept = heads[rows]
+    # row 0 of the table is the root vector, row g the context vector of token g
+    table = np.vstack((model.root_vector.data, enc.context_vectors.data))
+    target = table[np.where(kept == 0, rows + 1, kept) if cfg.root_target == "self" else kept]
+    return rows, target, kept - 1 if cfg.rebalance_targets else np.full_like(rows, -1)
 
 
 def reconstruction_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentence,
@@ -96,37 +92,31 @@ def reconstruction_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentenc
     the root reconstruct either the root vector or their own context vector,
     always as a constant: the root vector learns from the labeler alone.
 
-    `target_overrides` replaces individual targets with fixed arrays (by
-    token position); derivative checks use it to hold the detached targets
-    constant while parameters are perturbed.
+    `target_overrides`, a matrix from `capture_targets`, replaces the
+    constant targets; derivative checks use it to hold them fixed while
+    parameters are perturbed.
     """
     term_loss = nn.mse_loss if cfg.loss == "mse" else nn.mae_loss
-    plan = _reconstruction_targets(model, sentence, enc, cfg, target_overrides or {})
-    if not plan:
+    rows, target, live = _reconstruction_targets(model, sentence, enc, cfg)
+    if not rows.size:
         return nn.constant(0.0)
-    rows, targets, governors = zip(*plan)
-    target = np.array(targets)
-    live = [k for k, g in enumerate(governors) if g is not None]
-    if live:
-        # rows past len(plan) of the table are the live context vectors
-        index = np.arange(len(plan))
-        index[live] = len(plan) + np.array([governors[k] for k in live])
+    target = target if target_overrides is None else target_overrides
+    if np.any(live >= 0):
+        # rows past len(rows) of the table are the live context vectors
+        index = np.where(live >= 0, len(rows) + live, np.arange(len(rows)))
         target = nn.stack_rows((nn.constant(target), enc.context_vectors))[index]
-    return term_loss(enc.latent_heads[np.array(rows)], target)
+    return term_loss(enc.latent_heads[rows], target)
 
 
 def capture_targets(model: LhrModel, sentence: Sentence, enc: EncodedSentence,
-                    cfg: TrainConfig) -> dict[int, np.ndarray]:
-    """Constant copies of every reconstruction target the loss detaches.
+                    cfg: TrainConfig) -> np.ndarray:
+    """A copy of the constant reconstruction target matrix.
 
-    Keyed by token position. Feeding the result back through
-    `target_overrides` makes the loss, as a function of the parameters,
-    exactly the one the backward pass differentiates, which is the right
-    point of comparison for finite differences.
+    Fed back through `target_overrides`, it makes the loss, as a function of
+    the parameters, exactly the one the backward pass differentiates: the
+    right point of comparison for finite differences.
     """
-    return {i: target.copy()
-            for i, target, governor in _reconstruction_targets(model, sentence, enc, cfg, {})
-            if governor is None}
+    return _reconstruction_targets(model, sentence, enc, cfg)[1].copy()
 
 
 def labeler_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentence) -> nn.Tensor:
@@ -136,17 +126,19 @@ def labeler_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentence) -> n
     built with softmax outputs. Governor context vectors stay live here, so
     this loss reaches the context encoder and the root vector.
     """
-    heads, label_gold, pos_gold = [], [], []
+    heads = _gold_heads(sentence)
+    where = f"{sentence.origin}: " if sentence.origin else ""
+    label_gold, pos_gold = [], []
     for tok in sentence.tokens:
-        heads.append(_gold_head(tok))
         if tok.gold_label is None:
             raise InvalidInputError(
-                f"{sentence.origin + ': ' if sentence.origin else ''}token {tok.index} "
-                f"({tok.form!r}) has no arc label; disable the labeler or train on labeled trees")
+                f"{where}token {tok.index} ({tok.form!r}) has no arc label; disable the "
+                "labeler or train on labeled trees")
         li = model.label_vocab.strict_index(tok.gold_label)
         if li is None:
             raise InvalidInputError(
-                f"label {tok.gold_label!r} is not in the model's label inventory")
+                f"{where}token {tok.index} ({tok.form!r}): label {tok.gold_label!r} is not "
+                "in the model's label inventory")
         label_gold.append(li)
         pos_gold.append(model.pos_vocab.index_of(tok.gold_pos))
     context = enc.context_vectors

@@ -208,9 +208,14 @@ def test_repair_matches_the_oracle_on_long_sentences():
     assert several >= 40  # one pass must handle many cycles at once
 
 
-def test_repair_rejects_a_head_list_without_root():
-    tree = DependencyTree([2, 1], [None] * 2, [None] * 2, [0.0, 0.0])
-    with pytest.raises(InvalidInputError, match="no root token"):
+@pytest.mark.parametrize("heads, problem", [
+    ([2, 1], "no root token"),
+    ([0, 5], "head 5 out of range"),
+    ([0, -1], "head -1 out of range"),
+], ids=["no-root", "past-the-end", "negative"])
+def test_repair_rejects_a_head_list_without_root(heads, problem):
+    tree = DependencyTree(heads, [None] * 2, [None] * 2, [0.0, 0.0])
+    with pytest.raises(InvalidInputError, match=problem):
         repair_cycles(tree, scores_from(np.zeros((2, 2)), [0.0, 0.0]))
 
 

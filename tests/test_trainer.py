@@ -27,6 +27,14 @@ def three_token_sentence():
     return Sentence(tokens=toks)
 
 
+def punct_sentence():
+    """three_token_sentence plus a comma under token 3."""
+    s = three_token_sentence()
+    s.tokens.append(Token(index=4, form=",", gold_pos="PUNCT", predicted_pos="PUNCT",
+                          gold_head=3, gold_label="mod", is_punct=True))
+    return s
+
+
 def all_punct_sentence():
     # labels drawn from the toy inventory; is_punct set directly
     toks = [
@@ -98,6 +106,37 @@ def test_missing_gold_heads_rejected(toy):
         reconstruction_loss(model, s, enc, TrainConfig())
 
 
+@pytest.mark.parametrize("heads, problem", [
+    ([2, 0, -1], "head -1 out of range"),
+    ([2, 0, 4], "head 4 out of range"),
+    ([2, 0, 0], "expected exactly one root token, found 2"),
+    ([3, 0, 1], "cycle through token 1"),
+], ids=["negative", "past-the-end", "two-roots", "cycle"])
+@pytest.mark.parametrize("loss", ["reconstruction", "labeler"])
+def test_gold_heads_that_are_not_a_tree_rejected(toy, heads, problem, loss):
+    model = tiny_model(toy)
+    s = three_token_sentence()
+    s.origin = "train.conllu:7"
+    for tok, head in zip(s.tokens, heads):
+        tok.gold_head = head
+    enc = model.encode_sentence(s)
+    with pytest.raises(InvalidInputError, match=f"^train.conllu:7: {problem}"):
+        if loss == "reconstruction":
+            reconstruction_loss(model, s, enc, TrainConfig())
+        else:
+            labeler_loss(model, s, enc)
+
+
+def test_unknown_label_names_sentence_and_token(toy):
+    model = tiny_model(toy)
+    s = three_token_sentence()
+    s.origin = "train.conllu:7"
+    s.tokens[2].gold_label = "nonexistent"
+    with pytest.raises(InvalidInputError, match=r"^train.conllu:7: token 3 \('charlie'\): "
+                                                "label 'nonexistent' is not in"):
+        labeler_loss(model, s, model.encode_sentence(s))
+
+
 def test_single_sentence_overfits_reconstruction(toy):
     model = tiny_model(toy)
     cfg = TrainConfig(use_labeler=False, lr=0.01)
@@ -166,16 +205,17 @@ def test_rebalanced_targets_change_gradients(toy):
     assert not np.allclose(plain, rebalanced)
 
 
-@pytest.mark.parametrize("cfg", [
-    TrainConfig(),
-    TrainConfig(loss="mae"),
-    TrainConfig(rebalance_targets=True),
-    TrainConfig(root_target="self"),
-    TrainConfig(use_labeler=False),
-], ids=["default", "mae", "rebalance", "self-root", "recon-only"])
-def test_gradients_match_finite_differences(toy, cfg):
+@pytest.mark.parametrize("cfg, s", [
+    (TrainConfig(), three_token_sentence()),
+    (TrainConfig(loss="mae"), three_token_sentence()),
+    (TrainConfig(rebalance_targets=True), three_token_sentence()),
+    (TrainConfig(root_target="self"), three_token_sentence()),
+    (TrainConfig(use_labeler=False), three_token_sentence()),
+    (TrainConfig(skip_punct_heads=True, rebalance_targets=True, root_target="self"),
+     punct_sentence()),
+], ids=["default", "mae", "rebalance", "self-root", "recon-only", "skip-punct"])
+def test_gradients_match_finite_differences(toy, cfg, s):
     model = tiny_model(toy, seed=3)
-    s = three_token_sentence()
     # the detached targets must stay fixed while parameters are perturbed,
     # otherwise finite differences measure a different function
     frozen = trainer.capture_targets(model, s, model.encode_sentence(s), cfg)
