@@ -181,6 +181,9 @@ def cmd_train(args) -> int:
     dev_tb = read_conll(args.dev, fmt=args.format, punct=punct) if args.dev else None
     word_vocab, pos_vocab, label_vocab, seen_pairs = build_vocabularies(
         train_tb, min_count=args.min_count)
+    if not len(label_vocab):
+        raise DataFormatError(f"{args.train}: no token has an arc label (column 8); "
+                              "the labeler needs labeled trees")
     cfg = _from_args(ModelConfig, args, encoder=_from_args(EncoderConfig, args))
     model = LhrModel(word_vocab, pos_vocab, label_vocab, seen_pairs, cfg, seed=args.seed)
     tcfg = _from_args(TrainConfig, args)
@@ -231,7 +234,7 @@ def cmd_export(args) -> int:
     tb = read_conll(args.input, fmt=args.format, strict=False)
     export_mod.export_lss(model, tb, args.output, fmt=args.lss_format)
     print(f"wrote {args.lss_format} latent structure for {len(tb.sentences)} "
-          f"sentences to {args.output}")
+          f"sentences to {args.output}", file=sys.stderr)
     return 0
 
 

@@ -112,30 +112,35 @@ class Treebank:
         return len(self.sentences)
 
 
-def find_cycles(heads: Sequence[int]) -> list[list[int]]:
-    """Cycles of the head graph as 1-based token lists, by smallest member.
+def chain_ends(heads: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """The head graph's cycles, and where each token's head chain ends.
 
     Following head links from any token either reaches the root (0) or loops;
-    each token has one outgoing arc, so cycles are disjoint.
+    each token has one outgoing arc, so cycles are disjoint. Cycles are 1-based
+    token lists, by smallest member; ends[i] is the smallest member of the
+    cycle that token i+1's chain runs into, or 0 if it reaches the root.
     """
-    n = len(heads)
-    state = [0] * (n + 1)  # 0 unvisited, 1 on current walk, 2 done
+    ends: list[int | None] = [0] + [None] * len(heads)  # -1: on the current walk
     cycles = []
-    for start in range(1, n + 1):
-        if state[start]:
-            continue
-        path = []
-        cur = start
-        while cur != 0 and state[cur] == 0:
-            state[cur] = 1
+    for start in range(1, len(heads) + 1):
+        path, cur = [], start
+        while ends[cur] is None:
+            ends[cur] = -1
             path.append(cur)
             cur = heads[cur - 1]
-        if cur != 0 and state[cur] == 1:
+        end = ends[cur]
+        if end == -1:  # the walk came back to itself
             cycles.append(path[path.index(cur):])
+            end = min(cycles[-1])
         for node in path:
-            state[node] = 2
+            ends[node] = end
     cycles.sort(key=min)
-    return cycles
+    return cycles, ends[1:]
+
+
+def find_cycles(heads: Sequence[int]) -> list[list[int]]:
+    """Cycles of the head graph as 1-based token lists, by smallest member."""
+    return chain_ends(heads)[0]
 
 
 def tree_problem(heads: Sequence[int | None], whole: bool = True) -> str | None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .conll import Sentence, find_cycles, tree_problem
+from .conll import Sentence, chain_ends, tree_problem
 from .errors import InvalidInputError
 from .model import EncodedSentence, LhrModel
 
@@ -95,44 +95,34 @@ def assign_heads(scores: ScoreMatrix, root_token: int) -> DependencyTree:
                           arc_scores=arc_scores)
 
 
-def _subtree(heads: list[int], dep: int) -> np.ndarray:
-    """inside[j - 1]: token j's head chain reaches `dep` (dep included)."""
-    reach: list[bool | None] = [None] * (len(heads) + 1)
-    reach[0], reach[dep] = False, True
-    for start in range(1, len(heads) + 1):
-        path, cur = [], start
-        while reach[cur] is None:
-            reach[cur] = False  # a walk that comes back here loops without dep
-            path.append(cur)
-            cur = heads[cur - 1]
-        for node in path:
-            reach[node] = reach[cur]
-    return np.array(reach[1:])
-
-
 def repair_cycles(tree: DependencyTree, scores: ScoreMatrix) -> DependencyTree:
     """Break every cycle by rewiring its weakest arc, never touching the root.
 
     Per cycle, smallest member first: the arc with the lowest score (ties:
     lowest dependent) moves to the dependent's most similar token outside its
     own subtree (ties: lowest index). One pass is exact: cycles are disjoint,
-    because each token has one head. Moving a cycle's dependent to a head
-    outside its own subtree breaks that cycle, creates no new cycle and changes
-    no arc of any other cycle. The root token's chain ends at 0 at once, so it
-    is never inside the subtree, and a candidate always exists.
+    because each token has one head. The dependent's subtree is every token
+    whose head chain ends in its cycle. Moving the dependent to a head outside
+    it breaks that cycle, creates no new cycle and changes no arc of any other
+    cycle; the subtree's chains now end where the new head's chain ends. The
+    root token's chain ends at 0 at once, so it is never inside the subtree,
+    and a candidate always exists.
     """
     problem = tree_problem(tree.heads, whole=False)
     if problem or 0 not in tree.heads:
         raise InvalidInputError(f"cannot repair a head list: {problem or 'no root token'}")
     heads = list(tree.heads)
     arc_scores = list(tree.arc_scores)
-    cycles = find_cycles(heads)
+    cycles, ends = chain_ends(heads)
+    ends = np.array(ends)
     for cycle in cycles:
         dep = min(cycle, key=lambda d: (arc_scores[d - 1], d))
-        row = np.where(_subtree(heads, dep), -np.inf, scores.sim[dep - 1])
+        inside = ends == ends[dep - 1]
+        row = np.where(inside, -np.inf, scores.sim[dep - 1])
         best = int(np.argmax(row))  # first maximum: ties go to the lowest index
         heads[dep - 1] = best + 1
         arc_scores[dep - 1] = float(row[best])
+        ends[inside] = ends[best]
     return DependencyTree(heads=heads, labels=list(tree.labels), pos=list(tree.pos),
                           arc_scores=arc_scores, needed_repair=bool(cycles))
 

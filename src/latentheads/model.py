@@ -50,23 +50,6 @@ class EncodedSentence:
         return len(self.context_vectors)
 
 
-class LabelerHead:
-    """Two classifier outputs sharing one hidden layer."""
-
-    def __init__(self, context_size: int, hidden: int, n_labels: int, n_pos: int,
-                 softmax_outputs: bool, params: nn.Parameters, prefix: str = ""):
-        out_act = "softmax" if softmax_outputs else "identity"
-        self.shared_hidden = nn.DenseLayer(
-            2 * context_size, hidden, "tanh", params, prefix + "shared.")
-        self.label_output = nn.DenseLayer(hidden, n_labels, out_act, params, prefix + "label.")
-        self.pos_output = nn.DenseLayer(hidden, n_pos, out_act, params, prefix + "pos.")
-
-    def score(self, dependent_c: nn.Tensor, governor_c: nn.Tensor) -> tuple[nn.Tensor, nn.Tensor]:
-        """Label and POS scores for one arc (vectors) or one arc per row (matrices)."""
-        hidden = self.shared_hidden(nn.concat((dependent_c, governor_c)))
-        return self.label_output(hidden), self.pos_output(hidden)
-
-
 class LhrModel:
     """All trainable state of the parser, plus its vocabularies.
 
@@ -94,9 +77,14 @@ class LhrModel:
         self.head_reducer = nn.DenseLayer(
             self.heads_encoder.output_size, config.context_size, "tanh", params, "head_reducer.")
         self.root_vector = params.new("root_vector", (config.context_size,), "uniform")
-        self.labeler = LabelerHead(config.context_size, config.labeler_hidden,
-                                   len(label_vocab), len(pos_vocab),
-                                   config.labeler_softmax, params, "labeler.")
+        # the labeler: two classifier outputs sharing one hidden layer
+        out_act = "softmax" if config.labeler_softmax else "identity"
+        self.labeler_shared = nn.DenseLayer(
+            2 * config.context_size, config.labeler_hidden, "tanh", params, "labeler.shared.")
+        self.labeler_label = nn.DenseLayer(
+            config.labeler_hidden, len(label_vocab), out_act, params, "labeler.label.")
+        self.labeler_pos = nn.DenseLayer(
+            config.labeler_hidden, len(pos_vocab), out_act, params, "labeler.pos.")
         # label and POS row of each seen pair, for the joint argmax of best_pairs
         self._pair_rows = np.array([(label_vocab.index_of(l), pos_vocab.index_of(p))
                                     for l, p in self.seen_pairs], dtype=int).reshape(-1, 2)
@@ -118,11 +106,13 @@ class LhrModel:
 
     def score_label_pos(self, dependent_c: nn.Tensor,
                         governor_c_or_root: nn.Tensor) -> tuple[nn.Tensor, nn.Tensor]:
+        """Label and POS scores for one arc (vectors) or one arc per row (matrices)."""
         if dependent_c.data.shape[-1:] != (self.context_size,) or \
                 governor_c_or_root.data.shape != dependent_c.data.shape:
             raise ConfigurationError(
                 f"labeler inputs must have rows of length {self.context_size}")
-        return self.labeler.score(dependent_c, governor_c_or_root)
+        hidden = self.labeler_shared(nn.concat((dependent_c, governor_c_or_root)))
+        return self.labeler_label(hidden), self.labeler_pos(hidden)
 
     def best_pairs(self, context_vectors: nn.Tensor, heads) -> list[tuple[str, str]]:
         """Per arc heads[i] -> token i+1, the seen (label, POS) pair scoring highest."""

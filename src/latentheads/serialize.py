@@ -108,7 +108,8 @@ def save_model(model: LhrModel, path: str) -> None:
     arrays = {"meta": np.frombuffer(meta_bytes, dtype=np.uint8)}
     for name, p in model.named_parameters():
         arrays[f"param/{name}"] = p.data
-    np.savez(path, **arrays)
+    with open(path, "wb") as fh:  # given a path, np.savez would append ".npz"
+        np.savez(fh, **arrays)
 
 
 def load_model(path: str) -> LhrModel:

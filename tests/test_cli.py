@@ -162,11 +162,37 @@ def test_train_on_an_unlabeled_token_names_its_sentence(tmp_path, capsys):
     assert f"error: {bad}:1: token 2 ('car') has no arc label" in capsys.readouterr().err
 
 
-def test_export_lss_round_trips(trained, tmp_path):
+@pytest.mark.parametrize("extra", [(), ("--no-labeler",)], ids=["labeler", "no-labeler"])
+def test_train_on_a_treebank_without_labels_names_it(tmp_path, capsys, extra):
+    lines = Path(TRAIN).read_text(encoding="utf-8").splitlines(keepends=True)
+    bare = tmp_path / "bare.conllu"
+    bare.write_text("".join("\t".join(c[:7] + ["_"] + c[8:]) if len(c) == 10 else line
+                            for line in lines for c in [line.split("\t")]),
+                    encoding="utf-8")
+    assert main(["train", "--train", str(bare), "--model", str(tmp_path / "m.npz"),
+                 *FAST, *extra]) == 1
+    assert capsys.readouterr().err == (f"error: {bare}: no token has an arc label "
+                                       "(column 8); the labeler needs labeled trees\n")
+
+
+def test_model_is_written_at_exactly_the_path_given(tmp_path, capsys):
+    path = tmp_path / "x.bin"
+    assert main(["train", "--train", TRAIN, "--model", str(path), *FAST]) == 0
+    assert f"saved {path}" in capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+    out = tmp_path / "parsed.conllu"
+    assert main(["parse", "--model", str(path), "--input", DEV, "--output", str(out)]) == 0
+    assert len(conll.read_conll(str(out))) == len(conll.read_conll(DEV))
+
+
+def test_export_lss_round_trips(trained, tmp_path, capsys):
     out = tmp_path / "dev.lss"
     code = main(["export-lss", "--model", trained, "--input", DEV,
                  "--output", str(out), "--lss-format", "binary"])
     assert code == 0
+    captured = capsys.readouterr()  # standard output stays free for the data
+    assert captured.out == ""
+    assert captured.err == f"wrote binary latent structure for 10 sentences to {out}\n"
     payload = export.read_lss_binary(str(out))
     tb = conll.read_conll(DEV)
     assert len(payload) == len(tb.sentences)

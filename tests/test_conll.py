@@ -3,11 +3,13 @@ from __future__ import annotations
 import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latentheads import conll
 from latentheads.conll import (PunctuationRule, Sentence, Token, Treebank, Vocabulary,
-                               build_vocabularies, read_conll, write_conll)
+                               build_vocabularies, chain_ends, find_cycles, read_conll,
+                               write_conll)
 from latentheads.decoder import DependencyTree
 from latentheads.errors import DataFormatError, InvalidInputError
 
@@ -237,6 +239,55 @@ def test_strict_reader_and_tree_validate_accept_the_same_head_lists(tmp_path):
             except InvalidInputError:
                 tree_ok = False
             assert read_ok == tree_ok, heads
+
+
+def reference_cycles(heads):
+    """The cycle walk as it was before it also recorded chain ends."""
+    n = len(heads)
+    state = [0] * (n + 1)  # 0 unvisited, 1 on current walk, 2 done
+    cycles = []
+    for start in range(1, n + 1):
+        if state[start]:
+            continue
+        path = []
+        cur = start
+        while cur != 0 and state[cur] == 0:
+            state[cur] = 1
+            path.append(cur)
+            cur = heads[cur - 1]
+        if cur != 0 and state[cur] == 1:
+            cycles.append(path[path.index(cur):])
+        for node in path:
+            state[node] = 2
+    cycles.sort(key=min)
+    return cycles
+
+
+def chain_end_by_stepping(heads, token):
+    """Follow heads n times, which lands on 0 or inside a cycle; name that."""
+    up = [0] + list(heads)
+    cur = token
+    for _ in heads:
+        cur = up[cur]
+    cycle, nxt = [cur], up[cur]
+    while nxt != cur:
+        cycle.append(nxt)
+        nxt = up[nxt]
+    return min(cycle)
+
+
+def test_chain_ends_on_seeded_head_lists_with_cycles():
+    """Each chain end equals n steps of the head chain; the cycles are the old walk's."""
+    rng = np.random.default_rng(16)
+    with_cycles = 0
+    for _ in range(2000):
+        n = int(rng.integers(1, 41))
+        heads = rng.integers(0, n + 1, size=n).tolist()
+        cycles, ends = chain_ends(heads)
+        with_cycles += bool(cycles)
+        assert ends == [chain_end_by_stepping(heads, j) for j in range(1, n + 1)]
+        assert cycles == find_cycles(heads) == reference_cycles(heads)
+    assert with_cycles > 1000
 
 
 def test_non_contiguous_ids_rejected(tmp_path):

@@ -5,10 +5,10 @@ import pytest
 
 from latentheads import decoder, nn
 from latentheads.decoder import (DependencyTree, ScoreMatrix, assign_heads,
-                                 assign_labels_pos, build_scores, find_cycles,
-                                 parse, repair_cycles, select_root)
+                                 assign_labels_pos, build_scores, parse,
+                                 repair_cycles, select_root)
 from latentheads.errors import InvalidInputError
-from latentheads.conll import build_vocabularies
+from latentheads.conll import build_vocabularies, find_cycles
 from latentheads.model import EncodedSentence, LhrModel
 
 from lhr_testutil import make_sentence, make_treebank, tiny_config, tiny_model

@@ -52,6 +52,17 @@ def test_round_trip_preserves_every_weight(model, tmp_path):
         assert np.array_equal(p.data, restored[name].data), name
 
 
+def test_checkpoint_lands_at_a_path_without_npz_suffix(model, tmp_path):
+    plain, suffixed = tmp_path / "m.bin", tmp_path / "m.npz"
+    serialize.save_model(model, str(plain))
+    serialize.save_model(model, str(suffixed))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin", "m.npz"]
+    assert sha256(plain) == sha256(suffixed)
+    loaded = serialize.load_model(str(plain))
+    for (name, p), (_, q) in zip(model.named_parameters(), loaded.named_parameters()):
+        assert np.array_equal(p.data, q.data), name
+
+
 def test_round_trip_preserves_vocabularies_and_pairs(model, tmp_path):
     path = tmp_path / "m.npz"
     serialize.save_model(model, str(path))
