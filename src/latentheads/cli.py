@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from . import decoder, serialize, export as export_mod
-from .conll import (FORMATS, PunctuationRule, build_vocabularies, read_conll,
-                    read_lines, write_conll)
+from .conll import (FORMATS, PunctuationRule, build_vocabularies, find_cycles,
+                    read_conll, read_lines, write_conll)
 from .decoder import DependencyTree
 from .errors import DataFormatError, LatentHeadsError, UsageError
 from .evaluation import evaluate
@@ -176,6 +177,12 @@ def _from_args(cls, args, **given):
 
 
 def cmd_train(args) -> int:
+    for path in filter(None, (args.model, args.curve)):  # before training; creates nothing
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise OSError(f"cannot write {path}: no directory {folder}")
+        if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            raise OSError(f"cannot write {path}: not a writable file")
     punct = _punct_rule(args)
     train_tb = read_conll(args.train, fmt=args.format, punct=punct)
     dev_tb = read_conll(args.dev, fmt=args.format, punct=punct) if args.dev else None
@@ -217,13 +224,13 @@ def cmd_eval(args) -> int:
     if len(pred.sentences) != len(gold.sentences):
         raise UsageError(f"{args.pred} has {len(pred.sentences)} sentences, "
                          f"{args.gold} has {len(gold.sentences)}")
-    trees = []
-    for sent in pred.sentences:
-        trees.append(DependencyTree(
-            heads=[t.gold_head for t in sent.tokens],
-            labels=[t.gold_label for t in sent.tokens],
-            pos=[t.gold_pos for t in sent.tokens],
-            arc_scores=[0.0] * len(sent.tokens)))
+    trees = [DependencyTree(  # a `_` head ends its chain as the root does
+        heads=[t.gold_head for t in sent.tokens],
+        labels=[t.gold_label for t in sent.tokens],
+        pos=[t.gold_pos for t in sent.tokens],
+        arc_scores=[0.0] * len(sent.tokens),
+        needed_repair=bool(find_cycles([t.gold_head or 0 for t in sent.tokens])))
+        for sent in pred.sentences]
     result = evaluate(gold, trees, skip_punct=not args.include_punct)
     print(result.summary())
     return 0
@@ -261,6 +268,9 @@ def main(argv=None) -> int:
         return 2
     except (LatentHeadsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -279,27 +280,17 @@ def write_conll(tb: Treebank, trees, path) -> None:
     if trees is not None and len(trees) != len(tb.sentences):
         raise InvalidInputError(
             f"{len(trees)} trees for {len(tb.sentences)} sentences")
-    if hasattr(path, "write"):
-        _write_conll_stream(tb, trees, path)
-        return
-    with io.open(path, "w", encoding="utf-8") as f:
-        _write_conll_stream(tb, trees, f)
-
-
-def _write_conll_stream(tb: Treebank, trees, f) -> None:
-    for si, sent in enumerate(tb.sentences):
-        tree = trees[si] if trees is not None else None
-        if tree is not None and len(tree.heads) != len(sent.tokens):
-            raise InvalidInputError(
-                f"sentence {si}: {len(tree.heads)} predictions for {len(sent.tokens)} tokens")
-        for comment in sent.comments:
-            f.write(comment + "\n")
-        for ti, tok in enumerate(sent.tokens):
-            if tree is None:
-                f.write(_token_line(tok, None, None, None) + "\n")
-            else:
-                f.write(_token_line(tok, tree.heads[ti], tree.labels[ti], tree.pos[ti]) + "\n")
-        f.write("\n")
+    opened = nullcontext(path) if hasattr(path, "write") else io.open(path, "w", encoding="utf-8")
+    with opened as f:
+        for si, sent in enumerate(tb.sentences):
+            tree = trees[si] if trees is not None else None
+            n = len(sent.tokens)
+            preds = [[None] * n] * 3 if tree is None else [tree.heads, tree.labels, tree.pos]
+            if any(len(column) != n for column in preds):
+                raise InvalidInputError(f"sentence {si}: {len(tree.heads)} heads, {len(tree.labels)} "
+                                        f"labels and {len(tree.pos)} POS tags for {n} tokens")
+            lines = [*sent.comments, *map(_token_line, sent.tokens, *preds), ""]
+            f.write("\n".join(lines) + "\n")
 
 
 def build_vocabularies(tb: Treebank, min_count: int = 1):

@@ -34,10 +34,10 @@ def write_lss_text(model: LhrModel, tb: Treebank, path: str) -> None:
         fh.write(f"lss 1 sentences {len(tb.sentences)}\n")
         for k, sent in enumerate(tb.sentences):
             rows = sentence_vectors(model, sent)
-            fh.write(f"sentence {k} tokens {len(rows)} dim {rows[0][1].shape[0]}\n")
-            for form, vec in rows:
-                floats = " ".join("%.17g" % v for v in vec)
-                fh.write(f"{form}\t{floats}\n")
+            dim = rows[0][1].shape[0]
+            fh.write(f"sentence {k} tokens {len(rows)} dim {dim}\n")
+            line = "%s\t" + " ".join(["%.17g"] * dim) + "\n"
+            fh.writelines(line % (form, *vec.tolist()) for form, vec in rows)
 
 
 def read_lss_text(path: str) -> list[list[tuple[str, np.ndarray]]]:
@@ -68,7 +68,7 @@ def read_lss_text(path: str) -> list[list[tuple[str, np.ndarray]]]:
             for _ in range(n_tokens):
                 lineno += 1
                 form, _, floats = lines[lineno - 1].partition("\t")
-                vec = np.array([float(x) for x in floats.split()], dtype=np.float64)
+                vec = np.array(floats.split(), dtype=np.float64)
                 if vec.shape[0] != dim:
                     raise DataFormatError(f"{path}:{lineno}: token {form!r} has "
                                           f"{vec.shape[0]} values, expected {dim}")
@@ -93,16 +93,13 @@ def write_lss_binary(model: LhrModel, tb: Treebank, path: str) -> None:
                     f"sentence {k} token {j}: form is {size} UTF-8 bytes, "
                     "the binary latent-structure format holds at most 65535")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(tb.sentences)))
+        fh.write(_MAGIC + struct.pack("<I", len(tb.sentences)))
         for k, sent in enumerate(tb.sentences):
             rows = sentence_vectors(model, sent)
             fh.write(struct.pack("<II", len(rows), rows[0][1].shape[0]))
             for form, vec in rows:
                 raw = form.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(vec.astype("<f8", copy=False).tobytes())
+                fh.write(struct.pack("<H", len(raw)) + raw + vec.astype("<f8", copy=False).tobytes())
 
 
 def read_lss_binary(path: str) -> list[list[tuple[str, np.ndarray]]]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import latentheads
-from latentheads import cli, conll, export, serialize
+from latentheads import cli, conll, decoder, export, serialize
 from latentheads.cli import main
 from latentheads.model import ModelConfig
 from latentheads.tokens import EncoderConfig
@@ -138,6 +138,21 @@ def test_eval_scores_parser_output(trained, tmp_path, capsys):
     assert 0.0 <= uas <= 1.0
 
 
+@pytest.mark.parametrize("pred_heads, rate", [
+    ([(2, 1)], "0.0000"),
+    ([(2, 1), ("_", 1)], "0.5000"),  # a `_` head ends its chain: no cycle
+], ids=["cycle", "cycle-and-unknown-head"])
+def test_eval_reports_the_cycles_of_the_predicted_file(tmp_path, capsys, pred_heads, rate):
+    def sentences(heads):
+        return "".join(f"1\tA\t_\tNOUN\t_\t_\t{h1}\tdep\t_\t_\n"
+                       f"2\tB\t_\tVERB\t_\t_\t{h2}\tdep\t_\t_\n\n" for h1, h2 in heads)
+    gold, pred = tmp_path / "gold.conllu", tmp_path / "pred.conllu"
+    gold.write_text(sentences([(0, 1)] * len(pred_heads)), encoding="utf-8")
+    pred.write_text(sentences(pred_heads), encoding="utf-8")
+    assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 0
+    assert f"cycle-free {rate}" in capsys.readouterr().out
+
+
 def test_eval_sentence_count_mismatch_exits_2(trained, tmp_path, capsys):
     short = tmp_path / "short.conllu"
     tb = conll.read_conll(DEV)
@@ -183,6 +198,37 @@ def test_model_is_written_at_exactly_the_path_given(tmp_path, capsys):
     out = tmp_path / "parsed.conllu"
     assert main(["parse", "--model", str(path), "--input", DEV, "--output", str(out)]) == 0
     assert len(conll.read_conll(str(out))) == len(conll.read_conll(DEV))
+
+
+@pytest.mark.parametrize("flag", ["--model", "--curve"])
+def test_train_checks_its_output_paths_before_training(tmp_path, capsys, flag):
+    missing = tmp_path / "absent" / "out"
+    kept = tmp_path / "kept.npz"
+    kept.write_bytes(b"an earlier checkpoint")
+    outputs = {"--model": str(kept), flag: str(missing)}
+    loud = [arg for arg in FAST if arg != "--quiet"]  # each epoch would be logged
+    args = ["train", "--train", TRAIN, *loud, *(x for pair in outputs.items() for x in pair)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (f"error: cannot write {missing}: "
+                                       f"no directory {missing.parent}\n")
+    assert not missing.parent.exists()
+    assert kept.read_bytes() == b"an earlier checkpoint"
+
+
+@pytest.mark.parametrize("exc, expected", [
+    (MemoryError("Unable to allocate 1.00 TiB for an array with shape (524288, 262144) "
+                 "and data type float64"),
+     "error: out of memory: Unable to allocate 1.00 TiB for an array with shape "
+     "(524288, 262144) and data type float64\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy-message", "no-message"])
+def test_running_out_of_memory_exits_1(monkeypatch, capsys, exc, expected):
+    def parse(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(decoder, "parse", parse)
+    code = main(["parse", "--model", fixture_path("toy_model_v1.npz"), "--input", DEV])
+    assert code == 1
+    assert capsys.readouterr().err == expected
 
 
 def test_export_lss_round_trips(trained, tmp_path, capsys):

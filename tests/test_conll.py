@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,6 +99,20 @@ def test_write_rejects_misaligned_trees(tmp_path):
     tb = read_conll(write_file(tmp_path, TWO_TOKENS))
     with pytest.raises(InvalidInputError):
         write_conll(tb, [], str(tmp_path / "x.conllu"))
+
+
+@pytest.mark.parametrize("heads, labels, pos", [
+    ([0], ["root", "dep"], ["NOUN", "VERB"]),
+    ([0, 1], ["root"], ["NOUN", "VERB"]),
+    ([0, 1], ["root", "dep"], ["NOUN", "VERB", "X"]),
+], ids=["short-heads", "short-labels", "long-pos"])
+def test_write_rejects_a_tree_whose_columns_do_not_match_the_sentence(tmp_path, heads,
+                                                                      labels, pos):
+    tb = read_conll(write_file(tmp_path, TWO_TOKENS))
+    tree = SimpleNamespace(heads=heads, labels=labels, pos=pos)
+    with pytest.raises(InvalidInputError, match=f"^sentence 0: {len(heads)} heads, "
+                       f"{len(labels)} labels and {len(pos)} POS tags for 2 tokens$"):
+        write_conll(tb, [tree], str(tmp_path / "x.conllu"))
 
 
 def test_multiword_and_empty_ids_skipped_in_conllu(tmp_path):

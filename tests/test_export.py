@@ -7,11 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latentheads import export
-from latentheads.conll import Treebank
+from latentheads import export, serialize
+from latentheads.conll import Treebank, read_conll
 from latentheads.errors import DataFormatError, InvalidInputError
 
-from lhr_testutil import make_treebank, tiny_model
+from lhr_testutil import fixture_path, make_treebank, tiny_model
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +63,27 @@ def test_both_formats_carry_the_same_payload(model, bank, tmp_path):
                                   flatten(export.read_lss_binary(str(b)))):
         assert f1 == f2
         assert np.array_equal(v1, v2)
+
+
+def test_both_formats_write_the_bytes_of_a_per_field_reference(tmp_path):
+    # the reference formats each float and packs each field on its own, so it
+    # shares no formatting code with the writers
+    model = serialize.load_model(fixture_path("toy_model_v1.npz"))
+    tb = read_conll(fixture_path("toy_dev.conllu"), strict=False)
+    text = [f"lss 1 sentences {len(tb.sentences)}\n"]
+    binary = [b"LSS1", struct.pack("<I", len(tb.sentences))]
+    for k, sent in enumerate(tb.sentences):
+        rows = export.sentence_vectors(model, sent)
+        text.append(f"sentence {k} tokens {len(rows)} dim {len(rows[0][1])}\n")
+        binary.append(struct.pack("<II", len(rows), len(rows[0][1])))
+        for form, vec in rows:
+            text.append(form + "\t" + " ".join("%.17g" % v for v in vec) + "\n")
+            raw = form.encode("utf-8")
+            binary += [struct.pack("<H", len(raw)), raw, *(struct.pack("<d", v) for v in vec)]
+    export.export_lss(model, tb, str(tmp_path / "dev.lss"), fmt="text")
+    export.export_lss(model, tb, str(tmp_path / "dev.bin"), fmt="binary")
+    assert (tmp_path / "dev.lss").read_bytes() == "".join(text).encode("utf-8")
+    assert (tmp_path / "dev.bin").read_bytes() == b"".join(binary)
 
 
 def test_vector_length_is_twice_context_size(model, bank, tmp_path):
