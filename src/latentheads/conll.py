@@ -188,6 +188,8 @@ def _parse_block(lines: list[tuple[int, str]], comments: list[str], fmt: str,
         cols = line.split("\t")
         if len(cols) != 10:
             raise DataFormatError(f"{path}:{lineno}: expected 10 tab-separated columns, got {len(cols)}")
+        if "" in cols:  # CoNLL writes an unspecified value as "_"
+            raise DataFormatError(f"{path}:{lineno}: column {cols.index('') + 1} is empty")
         tid = cols[0]
         if fmt == "conllu" and ("-" in tid or "." in tid):
             continue  # multiword ranges and empty nodes carry no tree structure
@@ -280,16 +282,18 @@ def write_conll(tb: Treebank, trees, path) -> None:
     if trees is not None and len(trees) != len(tb.sentences):
         raise InvalidInputError(
             f"{len(trees)} trees for {len(tb.sentences)} sentences")
+    preds = []  # every tree is checked before the output opens: no partial file
+    for si, sent in enumerate(tb.sentences):
+        tree = trees[si] if trees is not None else None
+        n = len(sent.tokens)
+        preds.append([[None] * n] * 3 if tree is None else [tree.heads, tree.labels, tree.pos])
+        if any(len(column) != n for column in preds[-1]):
+            raise InvalidInputError(f"sentence {si}: {len(tree.heads)} heads, {len(tree.labels)} "
+                                    f"labels and {len(tree.pos)} POS tags for {n} tokens")
     opened = nullcontext(path) if hasattr(path, "write") else io.open(path, "w", encoding="utf-8")
     with opened as f:
-        for si, sent in enumerate(tb.sentences):
-            tree = trees[si] if trees is not None else None
-            n = len(sent.tokens)
-            preds = [[None] * n] * 3 if tree is None else [tree.heads, tree.labels, tree.pos]
-            if any(len(column) != n for column in preds):
-                raise InvalidInputError(f"sentence {si}: {len(tree.heads)} heads, {len(tree.labels)} "
-                                        f"labels and {len(tree.pos)} POS tags for {n} tokens")
-            lines = [*sent.comments, *map(_token_line, sent.tokens, *preds), ""]
+        for sent, columns in zip(tb.sentences, preds):
+            lines = [*sent.comments, *map(_token_line, sent.tokens, *columns), ""]
             f.write("\n".join(lines) + "\n")
 
 

@@ -102,11 +102,11 @@ class LhrModel:
 
     def governor_vectors(self, context_vectors: nn.Tensor, heads) -> nn.Tensor:
         """Row i: the context vector of head heads[i] (1-based), the root vector for 0."""
-        return nn.stack_rows((self.root_vector, context_vectors))[np.asarray(heads, dtype=np.intp)]
+        return nn.stack_rows((self.root_vector[None], context_vectors))[np.asarray(heads, dtype=np.intp)]
 
     def score_label_pos(self, dependent_c: nn.Tensor,
                         governor_c_or_root: nn.Tensor) -> tuple[nn.Tensor, nn.Tensor]:
-        """Label and POS scores for one arc (vectors) or one arc per row (matrices)."""
+        """Label and POS scores for one arc per row of the two (n, |c|) matrices."""
         if dependent_c.data.shape[-1:] != (self.context_size,) or \
                 governor_c_or_root.data.shape != dependent_c.data.shape:
             raise ConfigurationError(

@@ -53,12 +53,7 @@ class Tensor:
     __slots__ = ("data", "grad", "needs_grad", "_parents", "_bw", "_released")
 
     def __init__(self, data, parents=(), bw=None, needs_grad=False):
-        if isinstance(data, np.ndarray):
-            if data.dtype != np.float64:
-                data = data.astype(np.float64)
-        else:
-            data = np.asarray(data, dtype=np.float64)
-        self.data = data
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.needs_grad = needs_grad
         self._parents = parents
@@ -182,13 +177,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w.T + b for x of shape (in,) or (n, in) and w of shape (out, in)."""
+    """x @ w.T + b for x of shape (n, in) and w of shape (out, in)."""
+    if x.data.ndim != 2:
+        raise InvalidInputError(f"linear expects an (n, in) matrix, got {x.shape}")
+
     def bw(g):
-        rows = g.reshape(-1, g.shape[-1])
         if w.needs_grad:
-            _acc(w, rows.T @ x.data.reshape(rows.shape[0], -1), own=True)
+            _acc(w, g.T @ x.data, own=True)
         if b.needs_grad:
-            _acc(b, rows.sum(axis=0), own=True)
+            _acc(b, g.sum(axis=0), own=True)
         if x.needs_grad:
             _acc(x, g @ w.data, own=True)
 
@@ -212,16 +209,16 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack matrices on top of each other; a vector counts as one row."""
-    if not parts:
-        raise InvalidInputError("stack_rows of an empty sequence")
+    """Stack matrices on top of each other."""
+    if not parts or any(p.data.ndim != 2 for p in parts):
+        raise InvalidInputError("stack_rows expects a non-empty sequence of matrices")
 
     def bw(g):
         off = 0
         for p in parts:
-            n = 1 if p.data.ndim == 1 else p.data.shape[0]
+            n = len(p.data)
             if p.needs_grad:
-                _acc(p, g[off:off + n].reshape(p.data.shape))
+                _acc(p, g[off:off + n])
             off += n
 
     return _record(np.vstack([p.data for p in parts]), tuple(parts), bw)
@@ -289,25 +286,22 @@ def mae_loss(pred: Tensor, target) -> Tensor:
 
 
 def _gold_rows(t: Tensor, gold, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Scores as an (n, k) matrix and the gold column of each row."""
-    if t.data.ndim not in (1, 2):
-        raise InvalidInputError(f"{what} expects a score vector or matrix")
-    m = t.data.reshape(-1, t.data.shape[-1])
-    gold = np.asarray(gold, dtype=np.intp).reshape(-1)
-    if gold.shape != (m.shape[0],):
-        raise InvalidInputError(f"{what}: {gold.shape[0]} gold indices for {m.shape[0]} rows")
-    if np.any((gold < 0) | (gold >= m.shape[1])):
-        raise InvalidInputError(f"gold index out of range for {m.shape[1]} classes")
-    return m, gold
+    """The (n, k) score matrix and the gold column of each row."""
+    gold = np.asarray(gold, dtype=np.intp)
+    if t.data.ndim != 2 or gold.shape != t.data.shape[:1]:
+        raise InvalidInputError(f"{what} expects an (n, k) score matrix and n gold indices, "
+                                f"got shapes {t.shape} and {gold.shape}")
+    if np.any((gold < 0) | (gold >= t.data.shape[1])):
+        raise InvalidInputError(f"gold index out of range for {t.data.shape[1]} classes")
+    return t.data, gold
 
 
 def margin_loss(scores: Tensor, gold) -> Tensor:
     """Hinge loss max(0, 1 - score[gold] + best competitor score), row mean.
 
-    `scores` is a score vector with one gold index, or an (n, k) matrix with
-    one gold index per row. A row is zero (with zero gradient) once its gold
-    score leads by at least 1. With a single class there is no competitor
-    and the loss is 0.
+    `scores` is an (n, k) matrix with one gold index per row. A row is zero
+    (with zero gradient) once its gold score leads by at least 1. With a
+    single class there is no competitor and the loss is 0.
     """
     s, gold = _gold_rows(scores, gold, "margin_loss")
     n, k = s.shape
@@ -323,7 +317,7 @@ def margin_loss(scores: Tensor, gold) -> Tensor:
         g = np.zeros_like(s)
         g[rows[active], gold[active]] = -c
         g[rows[active], best_other[active]] = c
-        _acc(scores, g.reshape(scores.data.shape), own=True)
+        _acc(scores, g, own=True)
 
     return _record(np.asarray(margins[active].sum() / n), (scores,), bw)
 
@@ -331,8 +325,7 @@ def margin_loss(scores: Tensor, gold) -> Tensor:
 def nll_loss(probs: Tensor, gold) -> Tensor:
     """Negative log of the gold probability, row mean (pair with a softmax).
 
-    `probs` is one distribution with one gold index, or an (n, k) matrix with
-    one gold index per row.
+    `probs` is an (n, k) matrix of distributions with one gold index per row.
     """
     p, gold = _gold_rows(probs, gold, "nll_loss")
     n = p.shape[0]
@@ -342,7 +335,7 @@ def nll_loss(probs: Tensor, gold) -> Tensor:
     def bw(out_grad):
         g = np.zeros_like(p)
         g[rows, gold] = -out_grad / (n * pg)
-        _acc(probs, g.reshape(probs.data.shape), own=True)
+        _acc(probs, g, own=True)
 
     return _record(np.asarray(-np.log(pg).sum() / n), (probs,), bw)
 
@@ -374,7 +367,7 @@ _ACTIVATIONS = ("tanh", "softmax", "identity")
 
 
 class DenseLayer:
-    """Fully connected layer: activation(W x + b) for a vector or each matrix row."""
+    """Fully connected layer: activation(W x + b) for each row of an (n, in) matrix."""
 
     def __init__(self, in_size: int, out_size: int, activation: str,
                  params: Parameters, prefix: str = ""):
@@ -389,9 +382,9 @@ class DenseLayer:
         self.bias = params.new(prefix + "bias", (out_size,), "zeros")
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.data.shape[-1:] != (self.in_size,):
+        if x.data.ndim != 2 or x.data.shape[1] != self.in_size:
             raise ConfigurationError(
-                f"DenseLayer expects rows of length {self.in_size}, got {x.shape}")
+                f"DenseLayer expects an (n, {self.in_size}) matrix, got {x.shape}")
         z = linear(x, self.weights, self.bias)
         if self.activation == "tanh":
             return tanh(z)
@@ -500,10 +493,10 @@ class BiEncoder:
     def __init__(self, input_size: int, hidden_size: int, params: Parameters, prefix: str = ""):
         self.input_size = input_size
         self.hidden_size = hidden_size
-        first = len(params.named)
         self.forward_cell = LstmCell(input_size, hidden_size, params, prefix + "forward.")
         self.reverse_cell = LstmCell(input_size, hidden_size, params, prefix + "reverse.")
-        self._params = tuple(p for _, p in params.named[first:])
+        self._params = tuple(p for cell in (self.forward_cell, self.reverse_cell)
+                             for gate in cell.gates for p in gate)
 
     @property
     def output_size(self) -> int:

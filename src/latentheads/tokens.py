@@ -71,19 +71,13 @@ class CharEncoder:
         self.char_birnn = nn.BiEncoder(cfg.char_dim, cfg.char_hidden, params, prefix + "birnn.")
         self.projection = nn.DenseLayer(2 * cfg.char_hidden, out_dim, "identity", params,
                                         prefix + "projection.")
-        self.out_dim = out_dim
 
     def encode(self, words) -> nn.Tensor:
-        """(n, out_dim): each word's projected final states; an empty word gets zeros."""
+        """(n, out_dim): the final states of each word's pass, projected in one call."""
         h = self.char_birnn.hidden_size
-        rows = []
-        for word in words:
-            if not word:
-                rows.append(nn.constant(np.zeros(self.out_dim)))
-                continue
-            states = self.char_birnn.encode(self.char_table.lookup(word))
-            rows.append(self.projection(nn.concat((states[-1, :h], states[0, h:]))))
-        return nn.stack_rows(rows)
+        states = [self.char_birnn.encode(self.char_table.lookup(word)) for word in words]
+        finals = [nn.concat((s[-1:, :h], s[:1, h:])) for s in states]
+        return self.projection(nn.stack_rows(finals))
 
 
 def char_vocab_from_words(word_vocab: Vocabulary) -> Vocabulary:

@@ -229,8 +229,6 @@ class RefModel:
 
     def char_vector(self, word):
         ce = self.model.token_encoder.char_encoder
-        if not word:
-            return Tensor(np.zeros(ce.out_dim))
         table = self.params["token_encoder.char.chars.vectors"]
         chars = [row(table, ce.char_table.vocab.index_of(ch)) for ch in word]
         _, final_fwd, final_rev = self.bi_encode("token_encoder.char.birnn.", chars)

@@ -436,6 +436,20 @@ def test_non_utf8_treebank_exits_1(trained, tmp_path, capsys):
     assert f"{bad}:" in err and "UTF-8" in err
 
 
+def test_empty_field_exits_1_naming_the_line(trained, tmp_path, capsys):
+    lines = Path(DEV).read_text(encoding="utf-8").split("\n")
+    k = next(i for i, line in enumerate(lines) if line and not line.startswith("#"))
+    cols = lines[k].split("\t")
+    cols[1] = ""
+    lines[k] = "\t".join(cols)
+    bad = tmp_path / "empty_form.conllu"
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    code = main(["parse", "--model", trained, "--input", str(bad)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:{k + 1}: column 2 is empty" in err and "Traceback" not in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "latentheads.cli", "--help"],

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -113,6 +114,18 @@ def test_write_rejects_a_tree_whose_columns_do_not_match_the_sentence(tmp_path, 
     with pytest.raises(InvalidInputError, match=f"^sentence 0: {len(heads)} heads, "
                        f"{len(labels)} labels and {len(pos)} POS tags for 2 tokens$"):
         write_conll(tb, [tree], str(tmp_path / "x.conllu"))
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "permissive"])
+@pytest.mark.parametrize("fmt", ["conllu", "conllx"])
+@pytest.mark.parametrize("column", [2, 10])
+def test_an_empty_field_is_rejected_with_its_line(tmp_path, fmt, strict, column):
+    first, second = TWO_TOKENS.splitlines()
+    cols = second.split("\t")
+    cols[column - 1] = ""
+    path = write_file(tmp_path, f"{first}\n" + "\t".join(cols) + "\n")
+    with pytest.raises(DataFormatError, match=f"^{re.escape(path)}:2: column {column} is empty$"):
+        read_conll(path, fmt=fmt, strict=strict)
 
 
 def test_multiword_and_empty_ids_skipped_in_conllu(tmp_path):

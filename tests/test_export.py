@@ -3,12 +3,13 @@
 import copy
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from latentheads import export, serialize
-from latentheads.conll import Treebank, read_conll
+from latentheads.conll import Sentence, Treebank, read_conll, write_conll
 from latentheads.errors import DataFormatError, InvalidInputError
 
 from lhr_testutil import fixture_path, make_treebank, tiny_model
@@ -147,6 +148,33 @@ def test_binary_writer_failure_leaves_no_partial_file(model, bank, tmp_path):
             export.export_lss(model, tb, str(path), fmt="binary")
     assert not fresh.exists()
     assert kept.read_bytes() == b"earlier output"
+
+
+def _rejected_write(kind, model, bank):
+    """A write call whose input fails past the first sentence, and its message."""
+    if kind == "write_conll":
+        tb = read_conll(fixture_path("toy_dev.conllu"))
+        trees = [SimpleNamespace(heads=[0] * len(s), labels=["x"] * len(s), pos=["X"] * len(s))
+                 for s in tb.sentences]
+        trees[5] = SimpleNamespace(heads=[0], labels=["root"], pos=["X"])
+        return (lambda path: write_conll(tb, trees, path)), "^sentence 5: 1 heads"
+    tb = Treebank([*bank.sentences[:3], Sentence(tokens=[]), bank.sentences[4]])
+    return ((lambda path: export.export_lss(model, tb, path, fmt=kind)),
+            "^sentence 3: cannot encode an empty sentence$")
+
+
+@pytest.mark.parametrize("kind", ["write_conll", "text", "binary"])
+def test_a_rejected_input_leaves_no_file_and_an_existing_file_unchanged(kind, model, bank,
+                                                                        tmp_path):
+    write, message = _rejected_write(kind, model, bank)
+    fresh = tmp_path / "fresh"
+    kept = tmp_path / "kept"
+    kept.write_bytes(b"earlier output\n")
+    for path in (fresh, kept):
+        with pytest.raises(InvalidInputError, match=message):
+            write(str(path))
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"earlier output\n"
 
 
 def test_empty_treebank_rejected(model, tmp_path):

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import latentheads
@@ -54,3 +56,28 @@ def test_parameters_are_made_only_by_the_registry():
                  and "Parameter" in (getattr(node.func, "id", None),
                                      getattr(node.func, "attr", None))]
     assert made == []
+
+
+PROBE = """from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_does_not_stop_the_run(tmp_path):
+    # on a falsifying example hypothesis may import libcst to suggest a patch,
+    # and that import warns; the repo's warning filters must not make it fatal
+    (tmp_path / "test_probe.py").write_text(PROBE, encoding="utf-8")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(config), "--rootdir",
+                          str(tmp_path), "-p", "no:cacheprovider", "test_probe.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "PASSED test_probe.py::test_passes" in run.stdout

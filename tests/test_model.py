@@ -56,27 +56,27 @@ def test_labeler_zero_weights_scores_uniformly(model):
         saved = p.data.copy()
         p.data[...] = 0.0
     rng = np.random.default_rng(3)
-    dep = nn.Tensor(rng.normal(size=model.context_size))
-    gov = nn.Tensor(rng.normal(size=model.context_size))
+    dep = nn.Tensor(rng.normal(size=(1, model.context_size)))
+    gov = nn.Tensor(rng.normal(size=(1, model.context_size)))
     label_scores, pos_scores = model.score_label_pos(dep, gov)
-    assert np.allclose(label_scores.data, label_scores.data[0])
-    assert np.allclose(pos_scores.data, pos_scores.data[0])
+    assert np.allclose(label_scores.data, label_scores.data[0, 0])
+    assert np.allclose(pos_scores.data, pos_scores.data[0, 0])
 
 
 def test_root_vector_can_stand_in_for_governor():
     rng = np.random.default_rng(0)
     m = tiny_model(make_treebank(8, rng), seed=4)
-    dep = nn.Tensor(rng.normal(size=m.context_size))
-    with_root = m.score_label_pos(dep, m.root_vector)
-    with_other = m.score_label_pos(dep, nn.Tensor(rng.normal(size=m.context_size)))
+    dep = nn.Tensor(rng.normal(size=(1, m.context_size)))
+    with_root = m.score_label_pos(dep, m.root_vector[None])
+    with_other = m.score_label_pos(dep, nn.Tensor(rng.normal(size=(1, m.context_size))))
     assert not np.allclose(with_root[0].data, with_other[0].data)
 
 
 def test_labeler_is_argument_order_sensitive():
     rng = np.random.default_rng(5)
     m = tiny_model(make_treebank(8, rng), seed=5)
-    a = nn.Tensor(rng.normal(size=m.context_size))
-    b = nn.Tensor(rng.normal(size=m.context_size))
+    a = nn.Tensor(rng.normal(size=(1, m.context_size)))
+    b = nn.Tensor(rng.normal(size=(1, m.context_size)))
     ab = m.score_label_pos(a, b)
     ba = m.score_label_pos(b, a)
     assert not np.allclose(ab[0].data, ba[0].data)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latentheads import decoder, nn
-from latentheads.errors import ConfigurationError, InvalidInputError, NonFiniteError, UsageError
+from latentheads.errors import (ConfigurationError, InvalidInputError, LatentHeadsError,
+                                NonFiniteError, UsageError)
 
 from latentheads.model import EncodedSentence
 
@@ -25,24 +26,42 @@ def test_dense_zero_weights_tanh_gives_zero():
     layer = nn.DenseLayer(2, 3, "tanh", nn.Parameters(np.random.default_rng(0)))
     layer.weights.data[...] = 0.0
     layer.bias.data[...] = 0.0
-    out = layer(tensor([1.5, -2.0]))
-    assert np.array_equal(out.data, np.zeros(3))
+    out = layer(tensor([[1.5, -2.0]]))
+    assert np.array_equal(out.data, np.zeros((1, 3)))
 
 
 def test_dense_identity_passthrough():
     layer = nn.DenseLayer(2, 2, "identity", nn.Parameters(np.random.default_rng(0)))
     layer.weights.data[...] = np.eye(2)
     layer.bias.data[...] = 0.0
-    out = layer(tensor([0.3, -0.7]))
-    assert np.allclose(out.data, [0.3, -0.7])
+    out = layer(tensor([[0.3, -0.7]]))
+    assert np.allclose(out.data, [[0.3, -0.7]])
 
 
 def test_dense_single_row_tanh():
     layer = nn.DenseLayer(2, 1, "tanh", nn.Parameters(np.random.default_rng(0)))
     layer.weights.data[...] = np.array([[1.0, 1.0]])
     layer.bias.data[...] = 0.0
-    out = layer(tensor([0.5, 0.5]))
-    assert np.allclose(out.data, [math.tanh(1.0)])
+    out = layer(tensor([[0.5, 0.5]]))
+    assert np.allclose(out.data, [[math.tanh(1.0)]])
+
+
+# each op that takes row matrices, called with a 3-vector
+VECTOR_CALLS = [
+    ("linear", lambda v: nn.linear(v, tensor(np.ones((2, 3))), tensor(np.zeros(2)))),
+    ("DenseLayer", lambda v: nn.DenseLayer(3, 2, "identity",
+                                           nn.Parameters(np.random.default_rng(0)))(v)),
+    ("stack_rows", lambda v: nn.stack_rows([v, tensor(np.ones((2, 3)))])),
+    ("margin_loss", lambda v: nn.margin_loss(v, 0)),
+    ("nll_loss", lambda v: nn.nll_loss(v, 0)),
+]
+
+
+@pytest.mark.parametrize("call", [case[1] for case in VECTOR_CALLS],
+                         ids=[case[0] for case in VECTOR_CALLS])
+def test_row_matrix_ops_reject_a_vector(call):
+    with pytest.raises(LatentHeadsError):
+        call(nn.Parameter(np.array([0.2, 0.5, 0.3])))
 
 
 def test_dense_rejects_bad_activation_and_size():
@@ -216,6 +235,17 @@ def test_biencoder_gradients_match_finite_differences():
         assert max_relative_error(p.grad, fd) < 1e-6
 
 
+def test_biencoder_records_its_input_and_its_own_gate_parameters():
+    params = nn.Parameters(np.random.default_rng(0))
+    nn.DenseLayer(2, 2, "identity", params, "before.")
+    enc = nn.BiEncoder(3, 2, params, "enc.")
+    own = [p for name, p in params.named if name.startswith("enc.")]
+    x = nn.Parameter(np.ones((4, 3)))
+    out = enc.encode(x)
+    assert len(own) == 16
+    assert len(out._parents) == 17 and all(a is b for a, b in zip(out._parents, [x, *own]))
+
+
 def _encode(x):
     params = nn.Parameters(np.random.default_rng(0))
     enc = nn.BiEncoder(3, 2, params)
@@ -230,7 +260,7 @@ RECORDING_OPS = [
     ("add", nn.add, [(2, 3), (2, 3)]),
     ("linear", nn.linear, [(2, 3), (4, 3), (4,)]),
     ("concat", lambda a, b: nn.concat([a, b]), [(2, 3), (2, 1)]),
-    ("stack_rows", lambda a, b: nn.stack_rows([a, b]), [(3,), (2, 3)]),
+    ("stack_rows", lambda a, b: nn.stack_rows([a, b]), [(1, 3), (2, 3)]),
     ("tanh", nn.tanh, [(2, 3)]),
     ("softmax", nn.softmax, [(2, 3)]),
     ("scale", lambda x: nn.scale(x, 0.5), [(2, 3)]),
@@ -276,7 +306,7 @@ def test_backward_zero_loss_zero_gradients():
 def test_backward_tanh_chain_at_zero():
     # d tanh(w*x)/dw at w=0, x=1 is sech^2(0) = 1
     w = nn.Parameter(np.array([[0.0]]))
-    x = tensor([1.0])
+    x = tensor([[1.0]])
     loss = nn.tanh(nn.linear(x, w, tensor([0.0])))
     loss.backward()
     assert np.allclose(w.grad, [[1.0]])
@@ -316,8 +346,8 @@ def test_gradient_accumulates_across_uses():
 def test_dense_chain_matches_finite_differences():
     rng = np.random.default_rng(11)
     layer = nn.DenseLayer(3, 2, "tanh", nn.Parameters(rng))
-    x = rng.normal(size=3)
-    target = rng.normal(size=2)
+    x = rng.normal(size=(1, 3))
+    target = rng.normal(size=(1, 2))
 
     def loss_fn():
         return float(nn.mse_loss(layer(tensor(x)), target).data)
@@ -406,41 +436,41 @@ def test_mae_direct_value_and_gradient_sign():
 
 
 def test_margin_satisfied_is_zero():
-    assert float(nn.margin_loss(tensor([5.0, 0.0, 0.0]), 0).data) == 0.0
+    assert float(nn.margin_loss(tensor([[5.0, 0.0, 0.0]]), [0]).data) == 0.0
 
 
 def test_margin_tie_is_one():
-    assert float(nn.margin_loss(tensor([0.0, 0.0]), 0).data) == 1.0
+    assert float(nn.margin_loss(tensor([[0.0, 0.0]]), [0]).data) == 1.0
 
 
 def test_margin_direct_value():
-    got = float(nn.margin_loss(tensor([0.2, 0.9, 0.1]), 0).data)
+    got = float(nn.margin_loss(tensor([[0.2, 0.9, 0.1]]), [0]).data)
     assert abs(got - 1.7) < 1e-15
 
 
 def test_margin_single_class_is_zero():
-    assert float(nn.margin_loss(tensor([3.0]), 0).data) == 0.0
+    assert float(nn.margin_loss(tensor([[3.0]]), [0]).data) == 0.0
 
 
 def test_margin_gradient_moves_gold_up_competitor_down():
-    s = nn.Parameter(np.array([0.2, 0.9, 0.1]))
-    nn.margin_loss(s, 0).backward()
-    assert np.allclose(s.grad, [-1.0, 1.0, 0.0])
+    s = nn.Parameter(np.array([[0.2, 0.9, 0.1]]))
+    nn.margin_loss(s, [0]).backward()
+    assert np.allclose(s.grad, [[-1.0, 1.0, 0.0]])
 
 
 def test_nll_matches_log():
-    probs = nn.softmax(nn.Parameter(np.array([1.0, 2.0, 0.5])))
-    loss = nn.nll_loss(probs, 1)
-    assert abs(float(loss.data) + math.log(probs.data[1])) < 1e-12
+    probs = nn.softmax(nn.Parameter(np.array([[1.0, 2.0, 0.5]])))
+    loss = nn.nll_loss(probs, [1])
+    assert abs(float(loss.data) + math.log(probs.data[0, 1])) < 1e-12
 
 
 def test_nll_gradient_matches_finite_differences():
-    w = nn.Parameter(np.array([1.0, -0.5, 0.2]))
+    w = nn.Parameter(np.array([[1.0, -0.5, 0.2]]))
 
     def loss_fn():
-        return float(nn.nll_loss(nn.softmax(nn.tanh(w)), 2).data)
+        return float(nn.nll_loss(nn.softmax(nn.tanh(w)), [2]).data)
 
-    nn.nll_loss(nn.softmax(nn.tanh(w)), 2).backward()
+    nn.nll_loss(nn.softmax(nn.tanh(w)), [2]).backward()
     fd = fd_gradient(loss_fn, w)
     assert max_relative_error(w.grad, fd) < 1e-6
 
@@ -480,7 +510,7 @@ def test_matrix_chain_matches_finite_differences():
 
     def forward():
         rows = table[index]
-        governors = nn.stack_rows((root, rows))[np.array([0, 1, 1, 4, 2])]
+        governors = nn.stack_rows((root[None], rows))[np.array([0, 1, 1, 4, 2])]
         probs = layer(nn.concat((rows, governors)))
         return nn.add(nn.nll_loss(probs, [0, 4, 2, 2, 1]),
                       nn.margin_loss(probs, [1, 1, 0, 3, 4]))
@@ -491,12 +521,12 @@ def test_matrix_chain_matches_finite_differences():
         assert max_relative_error(p.grad, fd) < 1e-6
 
 
-def test_row_losses_are_means_of_vector_losses():
+def test_row_losses_are_means_of_one_row_losses():
     rng = np.random.default_rng(22)
     scores = rng.normal(size=(4, 3))
     gold = [0, 2, 1, 1]
     for loss in (nn.margin_loss, nn.nll_loss):
-        rows = [float(loss(tensor(s), g).data) for s, g in zip(scores, gold)]
+        rows = [float(loss(tensor([s]), [g]).data) for s, g in zip(scores, gold)]
         whole = float(loss(tensor(scores), gold).data)
         assert whole == pytest.approx(sum(rows) / 4, rel=1e-14)
 
@@ -525,7 +555,7 @@ def test_cosine_always_in_unit_interval(values, pyrandom):
 @settings(max_examples=60, deadline=None)
 def test_margin_is_non_negative(scores, gold):
     gold = gold % len(scores)
-    assert float(nn.margin_loss(tensor(scores), gold).data) >= 0.0
+    assert float(nn.margin_loss(tensor([scores]), [gold]).data) >= 0.0
 
 
 @given(finite_vec)

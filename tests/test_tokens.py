@@ -206,6 +206,20 @@ def test_word_char_mode_output_size_matches_word_pos():
     assert out.data.shape == (8,)
 
 
+def test_char_encoder_projects_a_sentence_in_one_call():
+    ce = encoder(mode="word+char").char_encoder
+    projection, calls = ce.projection, []
+    ce.projection = lambda x: calls.append(x.shape) or projection(x)
+    out = ce.encode(["the", "dog", "barks"])
+    assert calls == [(3, 6)]  # three words, both final states of 3
+    assert out.shape == (3, 3)
+
+
+def test_char_mode_rejects_an_empty_form():
+    with pytest.raises(InvalidInputError, match="empty sequence"):
+        encoder(mode="word+char").encode(sent([("dog", "NOUN"), ("", "X")]))
+
+
 def test_word_char_mode_reads_capitals_through_their_lowercase_letters():
     # the char table is built from the lowercased word keys
     enc = encoder(mode="word+char")
