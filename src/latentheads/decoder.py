@@ -65,8 +65,9 @@ def build_scores(enc: EncodedSentence, root_vector) -> ScoreMatrix:
     root = root_vector.data if isinstance(root_vector, nn.Tensor) else np.asarray(root_vector)
     root_norm = np.linalg.norm(root)
     root_unit = root / root_norm if root_norm >= 1e-12 else np.zeros_like(root)
-    sim = np.clip(h @ c.T, -1.0, 1.0)
-    root_sim = np.clip(h @ root_unit, -1.0, 1.0)
+    sim, root_sim = h @ c.T, h @ root_unit
+    np.clip(sim, -1.0, 1.0, out=sim)  # in place: one n x n matrix, not two
+    np.clip(root_sim, -1.0, 1.0, out=root_sim)
     return ScoreMatrix(sim=sim, root_sim=root_sim)
 
 

@@ -29,21 +29,25 @@ def sentence_vectors(model: LhrModel, sentence) -> list[tuple[str, np.ndarray]]:
     return [(tok.form, row) for tok, row in zip(sentence.tokens, rows)]
 
 
-def _check(tb: Treebank, binary: bool) -> None:
+def _check(model: LhrModel, tb: Treebank, binary: bool) -> None:
     """Reject what would fail mid-write before the output opens: no partial file."""
+    chars = model.config.encoder.mode == "word+char"  # each form's characters are encoded
     for k, sent in enumerate(tb.sentences):
         if not sent.tokens:
             raise InvalidInputError(f"sentence {k}: cannot encode an empty sentence")
-        for j, tok in enumerate(sent.tokens if binary else ()):
+        for j, tok in enumerate(sent.tokens if binary or chars else ()):
+            if chars and not tok.form:
+                where = f"{sent.origin}: " if sent.origin else ""
+                raise InvalidInputError(f"{where}sentence {k} token {j}: empty form")
             size = len(tok.form.encode("utf-8"))
-            if size > 0xFFFF:
+            if binary and size > 0xFFFF:
                 raise InvalidInputError(
                     f"sentence {k} token {j}: form is {size} UTF-8 bytes, "
                     "the binary latent-structure format holds at most 65535")
 
 
 def write_lss_text(model: LhrModel, tb: Treebank, path: str) -> None:
-    _check(tb, binary=False)
+    _check(model, tb, binary=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"lss 1 sentences {len(tb.sentences)}\n")
         for k, sent in enumerate(tb.sentences):
@@ -99,7 +103,7 @@ def read_lss_text(path: str) -> list[list[tuple[str, np.ndarray]]]:
 
 
 def write_lss_binary(model: LhrModel, tb: Treebank, path: str) -> None:
-    _check(tb, binary=True)
+    _check(model, tb, binary=True)
     with open(path, "wb") as fh:
         fh.write(_MAGIC + struct.pack("<I", len(tb.sentences)))
         for k, sent in enumerate(tb.sentences):

@@ -400,8 +400,10 @@ class LstmCell:
 
     Row blocks of `weight` and `bias` are the gates in GATES order, each an
     affine map over [x; h_prev]. Every gate's weight and bias is declared as
-    a Parameter whose `data` is then re-pointed at a view of its block, so
-    Adam and the checkpoint see one named array per gate. Forget-gate bias
+    a Parameter, copied into its block, and its `data` re-pointed at it, so
+    Adam and the checkpoint see one named array per gate. `weight` is
+    column-major, so its recurrent block `weight[:, X:]`, read once per
+    step, and the input block's transpose are contiguous. Forget-gate bias
     starts at 1.0 so early training does not wipe the cell state.
     """
 
@@ -416,11 +418,13 @@ class LstmCell:
         gates = [(params.new(f"{prefix}w_{gate}", (h, z), "glorot"),
                   params.new(f"{prefix}b_{gate}", (h,), "ones" if gate == "forget" else "zeros"))
                  for gate in self.GATES]
-        self.weight = np.vstack([w.data for w, _ in gates])
-        self.bias = np.concatenate([b.data for _, b in gates])
+        self.weight = np.empty((4 * h, z), order="F")
+        self.bias = np.empty(4 * h)
         self.gates = gates
         for k, (gate, (w, b)) in enumerate(zip(self.GATES, gates)):
-            w.data, b.data = self.weight[k * h:(k + 1) * h], self.bias[k * h:(k + 1) * h]
+            rows = slice(k * h, (k + 1) * h)
+            self.weight[rows], self.bias[rows] = w.data, b.data
+            w.data, b.data = self.weight[rows], self.bias[rows]
             setattr(self, f"w_{gate}", w)
             setattr(self, f"b_{gate}", b)
 
@@ -443,11 +447,12 @@ class LstmCell:
                 np.exp(np.negative(sig, out=sig), out=sig)
                 sig += 1.0
                 np.reciprocal(sig, out=sig)
-                np.tanh(z[3 * h_size:], out=z[3 * h_size:])
-                c = z[h_size:2 * h_size] * c + z[:h_size] * z[3 * h_size:]
-                h = z[2 * h_size:3 * h_size] * np.tanh(c)
-                hs[t] = h
-                cs[t] = c
+                g = z[3 * h_size:]  # backprop reads the candidate, so c and h go to cs, hs
+                np.tanh(g, out=g)
+                c = np.multiply(z[h_size:2 * h_size], c, out=cs[t])
+                c += z[:h_size] * g
+                h = np.tanh(c, out=hs[t])
+                h *= z[2 * h_size:3 * h_size]
         return hs, (x, gates, cs, hs)
 
     def backprop(self, cache: tuple, d_hs: np.ndarray, need_dx: bool) -> np.ndarray | None:
@@ -480,7 +485,8 @@ class LstmCell:
             row *= slope[t]
             dc = dc * f[t]
             dh = row @ w_h
-        dw, db = dz.T @ np.hstack((x, h_prev)), dz.sum(axis=0)
+        # column-major, as each gate's weight and grad are
+        dw, db = (np.hstack((x, h_prev)).T @ dz).T, dz.sum(axis=0)
         for k, (w, b) in enumerate(self.gates):
             _acc(w, dw[k * h_size:(k + 1) * h_size])
             _acc(b, db[k * h_size:(k + 1) * h_size])
@@ -528,13 +534,29 @@ class BiEncoder:
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+_PIECE = 1 << 14  # elements per Adam piece: a piece of each of its arrays stays in cache
+
+
+def _pieces(arrays: Sequence[np.ndarray]) -> list[tuple[np.ndarray, ...]]:
+    """Matching pieces of at most about _PIECE elements of same-shape arrays.
+
+    Laid out like the first array, in memory order: a matrix is cut into
+    blocks of rows, or of columns if it is column-major (an LSTM gate's block).
+    """
+    if arrays[0].size <= _PIECE:
+        return [tuple(arrays)]
+    if arrays[0].strides[0] < arrays[0].strides[-1]:
+        arrays = [a.T for a in arrays]
+    step = max(1, _PIECE // math.prod(arrays[0].shape[1:]))
+    return [tuple(a[k:k + step] for a in arrays) for k in range(0, len(arrays[0]), step)]
 
 
 def adam_step(params: Iterable, lr: float = 0.001) -> None:
     """One Adam update with bias correction; gradients are reset to zero.
 
     `params` yields (name, Parameter) pairs. Any non-finite gradient fails
-    the whole step before any value changes.
+    the whole step before any value changes. A large parameter is updated a
+    piece at a time (see `_pieces`), so each piece's temporaries stay in cache.
     """
     items = list(params)
     for name, p in items:
@@ -544,10 +566,11 @@ def adam_step(params: Iterable, lr: float = 0.001) -> None:
         if p.adam_m is None:
             p.adam_m, p.adam_v = np.zeros_like(p.data), np.zeros_like(p.data)
         t = p.step_count = p.step_count + 1
-        p.adam_m *= ADAM_BETA1
-        p.adam_m += (1.0 - ADAM_BETA1) * p.grad
-        p.adam_v *= ADAM_BETA2
-        p.adam_v += (1.0 - ADAM_BETA2) * (p.grad * p.grad)
-        m_hat, v_hat = p.adam_m / (1.0 - ADAM_BETA1 ** t), p.adam_v / (1.0 - ADAM_BETA2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-        p.grad[...] = 0.0
+        m_scale, v_scale = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+        for data, grad, m, v in _pieces((p.data, p.grad, p.adam_m, p.adam_v)):
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (grad * grad)
+            data -= lr * (m / m_scale) / (np.sqrt(v / v_scale) + ADAM_EPSILON)
+            grad[...] = 0.0

@@ -85,19 +85,23 @@ def tiny_model(tb: Treebank, seed: int = 0, **overrides) -> LhrModel:
 
 
 def fd_gradient(loss_fn, param: nn.Parameter, eps: float = 1e-5) -> np.ndarray:
-    """Central finite differences of loss_fn with respect to every entry."""
-    grad = np.zeros_like(param.data)
-    flat = param.data.reshape(-1)
-    gflat = grad.reshape(-1)
+    """Central finite differences of loss_fn with respect to every entry.
+
+    Entries are perturbed in place through their index, so a parameter whose
+    data is a strided view (an LSTM gate's block of its cell's stack) is
+    perturbed where the model reads it.
+    """
+    data = param.data
+    grad = np.zeros(data.shape)
     with nn.no_grad():
-        for k in range(flat.shape[0]):
-            keep = flat[k]
-            flat[k] = keep + eps
+        for k in np.ndindex(data.shape):
+            keep = data[k]
+            data[k] = keep + eps
             up = loss_fn()
-            flat[k] = keep - eps
+            data[k] = keep - eps
             down = loss_fn()
-            flat[k] = keep
-            gflat[k] = (up - down) / (2.0 * eps)
+            data[k] = keep
+            grad[k] = (up - down) / (2.0 * eps)
     return grad
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,33 @@ def test_zero_latent_head_scores_zero_everywhere():
 def test_empty_sentence_rejected():
     with pytest.raises(InvalidInputError):
         build_scores(enc_from_rows([], []), np.ones(2))
+
+
+def test_build_scores_clips_in_place_with_the_same_values():
+    n, d = 500, 16
+    rng = np.random.default_rng(4)
+    enc = enc_from_rows(rng.standard_normal((n, d)), rng.standard_normal((n, d)))
+    root = rng.standard_normal(d)
+
+    def clipped_copies():  # the formula before the clips worked in place
+        h = decoder._normalized_rows(enc.latent_heads.data)
+        c = decoder._normalized_rows(enc.context_vectors.data)
+        root_unit = root / np.linalg.norm(root)
+        return np.clip(h @ c.T, -1.0, 1.0), np.clip(h @ root_unit, -1.0, 1.0)
+
+    results, peaks = [], []
+    for scores in (clipped_copies, lambda: build_scores(enc, root)):
+        tracemalloc.start()
+        try:
+            results.append(scores())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    (sim, root_sim), sm = results
+    assert np.array_equal(sm.sim, sim) and np.array_equal(sm.root_sim, root_sim)
+    # one n x n matrix fewer at the peak, less the n root similarities it now also
+    # holds and a few hundred bytes of Python objects
+    assert peaks[0] - peaks[1] > 0.99 * n * n * 8
 
 
 # ---------------------------------------------------------------- select_root

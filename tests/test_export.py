@@ -158,12 +158,20 @@ def _rejected_write(kind, model, bank):
                  for s in tb.sentences]
         trees[5] = SimpleNamespace(heads=[0], labels=["root"], pos=["X"])
         return (lambda path: write_conll(tb, trees, path)), "^sentence 5: 1 heads"
+    if kind.endswith("empty-form"):  # a char-mode model has no characters to encode
+        tb = Treebank(copy.deepcopy(bank.sentences))
+        tb.sentences[3].tokens[1].form = ""
+        tb.sentences[3].origin = "corpus.conllu:12"
+        char_model = tiny_model(bank, seed=2, mode="word+char")
+        return ((lambda path: export.export_lss(char_model, tb, path, fmt=kind.split("-")[0])),
+                "^corpus.conllu:12: sentence 3 token 1: empty form$")
     tb = Treebank([*bank.sentences[:3], Sentence(tokens=[]), bank.sentences[4]])
     return ((lambda path: export.export_lss(model, tb, path, fmt=kind)),
             "^sentence 3: cannot encode an empty sentence$")
 
 
-@pytest.mark.parametrize("kind", ["write_conll", "text", "binary"])
+@pytest.mark.parametrize("kind", ["write_conll", "text", "binary",
+                                  "text-empty-form", "binary-empty-form"])
 def test_a_rejected_input_leaves_no_file_and_an_existing_file_unchanged(kind, model, bank,
                                                                         tmp_path):
     write, message = _rejected_write(kind, model, bank)

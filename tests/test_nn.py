@@ -14,6 +14,7 @@ from latentheads.errors import (ConfigurationError, InvalidInputError, LatentHea
 from latentheads.model import EncodedSentence
 
 from lhr_testutil import fd_gradient, max_relative_error
+import reference_adam
 
 
 def tensor(values):
@@ -359,6 +360,15 @@ def test_dense_chain_matches_finite_differences():
         assert max_relative_error(p.grad, fd) < 1e-6
 
 
+def test_finite_differences_perturb_a_strided_parameter_where_it_is_read():
+    stack = np.asfortranarray(np.random.default_rng(0).standard_normal((6, 4)))
+    p = nn.Parameter(np.zeros(1))
+    p.data = stack[2:4]  # a row block of a column-major array, as an LSTM gate is
+    coef = np.arange(24.0).reshape(6, 4)
+    numeric = fd_gradient(lambda: float((coef * stack).sum()), p)
+    assert np.allclose(numeric, coef[2:4], rtol=0.0, atol=1e-6)
+
+
 # ----------------------------------------------------------------------- adam
 
 def test_adam_zero_gradient_leaves_values():
@@ -401,6 +411,53 @@ def test_adam_descends_on_quadratic():
         values.append(float(p.data[0]))
     assert all(b < a for a, b in zip(values, values[1:]))
     assert 0.0 < values[-1] < 1.0
+
+
+def _adam_params(seed: int) -> list[tuple[str, nn.Parameter]]:
+    """Parameters of every layout a model has, at sizes around one Adam piece."""
+    params = nn.Parameters(np.random.default_rng(seed))
+    params.new("matrix", (130, 150), "glorot")       # C-order, 19,500 elements
+    params.new("wide", (3, 20000), "glorot")         # each row longer than a piece
+    params.new("vector", (40000,), "uniform")
+    params.new("short", (5,), "uniform")
+    nn.LstmCell(150, 100, params, "big.")            # column-major gates of 25,000
+    nn.LstmCell(3, 4, params, "small.")
+    return params.named
+
+
+def test_adam_in_pieces_leaves_the_bytes_of_the_whole_array_update():
+    ref, new = _adam_params(0), _adam_params(0)
+    assert any(p.data.size > nn._PIECE and p.data.size % nn._PIECE for _, p in new)
+    rng = np.random.default_rng(1)
+    for step in range(30):
+        for (_, a), (_, b) in zip(ref, new):
+            a.grad[...] = b.grad[...] = rng.standard_normal(a.data.shape) * (step % 3)
+        reference_adam.adam_step(ref, lr=0.01)
+        nn.adam_step(new, lr=0.01)
+    for (name, a), (_, b) in zip(ref, new):
+        for x, y in ((a.data, b.data), (a.adam_m, b.adam_m), (a.adam_v, b.adam_v)):
+            assert x.tobytes() == y.tobytes(), name
+        assert b.step_count == 30 and not b.grad.any()
+
+
+def test_adam_in_pieces_names_the_first_non_finite_gradient_and_changes_nothing():
+    named = _adam_params(0)
+    params = dict(named)
+    rng = np.random.default_rng(2)
+    for _, p in named:
+        p.grad[...] = rng.standard_normal(p.data.shape)
+    nn.adam_step(named)
+    for _, p in named:
+        p.grad[...] = rng.standard_normal(p.data.shape)
+    params["big.w_forget"].grad[-1, -1] = np.inf  # in the last piece of a column-major gate
+    params["small.w_candidate"].grad[0, 0] = np.nan
+    before = [(p.data.tobytes(), p.grad.tobytes(), p.adam_m.tobytes(), p.adam_v.tobytes())
+              for _, p in named]
+    with pytest.raises(NonFiniteError, match="parameter 'big.w_forget'"):
+        nn.adam_step(named)
+    assert before == [(p.data.tobytes(), p.grad.tobytes(), p.adam_m.tobytes(),
+                       p.adam_v.tobytes()) for _, p in named]
+    assert all(p.step_count == 1 for _, p in named)
 
 
 def test_adam_rejects_non_finite_gradient_without_mutating():

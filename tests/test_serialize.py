@@ -52,6 +52,29 @@ def test_round_trip_preserves_every_weight(model, tmp_path):
         assert np.array_equal(p.data, restored[name].data), name
 
 
+def _cells(m: LhrModel):
+    encoders = [m.context_encoder, m.heads_encoder]
+    if m.token_encoder.char_encoder is not None:
+        encoders.append(m.token_encoder.char_encoder.char_birnn)
+    return [cell for enc in encoders for cell in (enc.forward_cell, enc.reverse_cell)]
+
+
+@pytest.mark.parametrize("mode", ["word+pos", "word+char"])
+def test_gates_are_views_of_a_column_major_stack_fresh_and_loaded(bank, tmp_path, mode):
+    fresh = tiny_model(bank, seed=3, mode=mode)
+    path = tmp_path / "m.npz"
+    serialize.save_model(fresh, str(path))
+    for m in (fresh, serialize.load_model(str(path))):
+        for cell in _cells(m):
+            assert all(np.shares_memory(w.data, cell.weight) and np.shares_memory(b.data, cell.bias)
+                       for w, b in cell.gates)
+            assert cell.weight[:, cell.input_size:].flags.f_contiguous
+            x = np.linspace(-1.0, 1.0, 3 * cell.input_size).reshape(3, cell.input_size)
+            before = cell.run(x)[0]
+            cell.w_forget.data[...] += 0.5
+            assert not np.array_equal(cell.run(x)[0], before)
+
+
 def test_checkpoint_lands_at_a_path_without_npz_suffix(model, tmp_path):
     plain, suffixed = tmp_path / "m.bin", tmp_path / "m.npz"
     serialize.save_model(model, str(plain))
