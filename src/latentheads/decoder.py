@@ -80,16 +80,20 @@ def assign_heads(scores: ScoreMatrix, root_token: int) -> DependencyTree:
     """Greedy per-token head choice; may contain cycles until repaired.
 
     Only the chosen root token takes head 0; every other token picks the
-    highest-similarity context vector other than its own.
+    highest-similarity context vector other than its own. The diagonal of
+    `scores.sim` is masked in place and restored before this returns.
     """
     n = scores.n
     if not 1 <= root_token <= n:
         raise InvalidInputError(f"root token {root_token} out of range")
-    masked = scores.sim.copy()
-    np.fill_diagonal(masked, -np.inf)
-    best = np.argmax(masked, axis=1)  # first maximum: ties go to the lowest index
+    sim, own = scores.sim, scores.sim.diagonal().copy()
+    np.fill_diagonal(sim, -np.inf)  # masked in place, not in an n x n copy
+    try:
+        best = np.argmax(sim, axis=1)  # first maximum: ties go to the lowest index
+        arc_scores = sim[np.arange(n), best].tolist()
+    finally:
+        np.fill_diagonal(sim, own)
     heads = (best + 1).tolist()
-    arc_scores = masked[np.arange(n), best].tolist()
     heads[root_token - 1] = 0
     arc_scores[root_token - 1] = float(scores.root_sim[root_token - 1])
     return DependencyTree(heads=heads, labels=[None] * n, pos=[None] * n,

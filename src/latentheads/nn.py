@@ -14,6 +14,7 @@ hand-written backpropagation through time. Inference code should run under
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -120,23 +121,37 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable tensor: its weight, and training state made when training reaches it.
+    """Trainable tensor of one `Parameters` set; its `grad` is made by the set's arena.
 
-    `grad` is a zero array made on its first read, then kept; the Adam
-    moments `adam_m` and `adam_v` are made by the first `adam_step`.
+    The first read of `grad` builds the arena (see `Parameters.ensure_arena`),
+    which makes `data` and `grad` views of it. A member refers to its set
+    weakly, so that a model's weights are freed as soon as the model is; the
+    modules that declare parameters keep their set. A Parameter made on its
+    own is the only member of a set of its own, which it keeps.
     """
 
-    __slots__ = ("_grad", "adam_m", "adam_v", "step_count")
+    __slots__ = ("_grad", "_owner", "_own_set")
 
-    def __init__(self, data):
+    def __init__(self, data, owner: Parameters | None = None):
         super().__init__(data, needs_grad=True)
-        self.adam_m = self.adam_v = None
-        self.step_count = 0
+        self._own_set = None
+        if owner is None:
+            owner = self._own_set = Parameters(None)
+            owner.named.append(("", self))
+        self._owner = weakref.ref(owner)
+
+    @property
+    def owner(self) -> Parameters:
+        owner = self._owner()
+        if owner is None:
+            raise UsageError("this parameter's Parameters set was freed; keep the set "
+                             "or a module declared with it while training")
+        return owner
 
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = np.zeros_like(self.data)
+            self.owner.ensure_arena()
         return self._grad
 
     @grad.setter
@@ -340,16 +355,40 @@ def nll_loss(probs: Tensor, gold) -> Tensor:
     return _record(np.asarray(-np.log(pg).sum() / n), (probs,), bw)
 
 
+class Stack:
+    """Parameters laid out as the row blocks of one array, as an LSTM's four gates are.
+
+    Each member's `data` is a view of its rows of `data`. `grad` is the
+    matching view of the arena's gradient, None until the arena is built.
+    """
+
+    __slots__ = ("data", "grad", "members")
+
+    def __init__(self, data: np.ndarray):
+        self.data, self.grad = data, None
+        self.members: list[tuple[Parameter, slice]] = []
+
+
 class Parameters:
     """A model's weights, each declared once by name; creation order is checkpoint order.
 
     `array` is the only place a weight is drawn: "glorot" for an (out, in)
     matrix, "uniform" in +-0.05, "zeros" or "ones". A loader overrides it.
+
+    Training state lives in `arena`, a (4, size) array whose rows hold the
+    weights, their gradients and Adam's two moments. The first gradient read
+    builds it, so loading and parsing never do. Each of `stacks`, and each
+    parameter outside one, gets a stretch of every row, in declaration order
+    and in its own memory layout; every weight and gradient is then a view of
+    rows 0 and 1. `steps` counts the Adam updates.
     """
 
     def __init__(self, rng: np.random.Generator | None):
         self.rng = rng
         self.named: list[tuple[str, Parameter]] = []
+        self.stacks: list[Stack] = []
+        self.arena: np.ndarray | None = None
+        self.steps = 0
 
     def array(self, name: str, shape: tuple, init: str) -> np.ndarray:
         if init in ("glorot", "uniform"):
@@ -358,9 +397,44 @@ class Parameters:
         return {"zeros": np.zeros, "ones": np.ones}[init](shape)
 
     def new(self, name: str, shape: tuple, init: str) -> Parameter:
-        p = Parameter(self.array(name, shape, init))
+        if self.arena is not None:
+            raise UsageError(f"parameter {name!r} declared after training built the arena")
+        p = Parameter(self.array(name, shape, init), self)
         self.named.append((name, p))
         return p
+
+    def stack(self, members: Sequence[Parameter], order: str = "C") -> Stack:
+        """Copy `members` into the row blocks of one new array, each `data` a view of its rows."""
+        rows = sum(len(p.data) for p in members)
+        stack = Stack(np.empty((rows,) + members[0].data.shape[1:], order=order))
+        start = 0
+        for p in members:
+            block = slice(start, start + len(p.data))
+            stack.data[block] = p.data
+            p.data = stack.data[block]
+            stack.members.append((p, block))
+            start = block.stop
+        self.stacks.append(stack)
+        return stack
+
+    def ensure_arena(self) -> np.ndarray:
+        """The arena, built on the first call from the weights where they are."""
+        if self.arena is None:
+            stack_of = {id(p): stack for stack in self.stacks for p, _ in stack.members}
+            units = list(dict.fromkeys(stack_of.get(id(p), p) for _, p in self.named))
+            self.arena = np.zeros((4, sum(u.data.size for u in units)))
+            start = 0
+            for u in units:
+                stop = start + u.data.size
+                order = "C" if u.data.flags.c_contiguous else "F"
+                data, grad = (row[start:stop].reshape(u.data.shape, order=order)
+                              for row in self.arena[:2])
+                data[...] = u.data
+                u.data, u.grad = data, grad
+                for p, block in u.members if isinstance(u, Stack) else ():
+                    p.data, p.grad = data[block], grad[block]
+                start = stop
+        return self.arena
 
 
 _ACTIVATIONS = ("tanh", "softmax", "identity")
@@ -378,6 +452,7 @@ class DenseLayer:
         self.in_size = in_size
         self.out_size = out_size
         self.activation = activation
+        self.params = params
         self.weights = params.new(prefix + "weights", (out_size, in_size), "glorot")
         self.bias = params.new(prefix + "bias", (out_size,), "zeros")
 
@@ -400,11 +475,11 @@ class LstmCell:
 
     Row blocks of `weight` and `bias` are the gates in GATES order, each an
     affine map over [x; h_prev]. Every gate's weight and bias is declared as
-    a Parameter, copied into its block, and its `data` re-pointed at it, so
-    Adam and the checkpoint see one named array per gate. `weight` is
-    column-major, so its recurrent block `weight[:, X:]`, read once per
-    step, and the input block's transpose are contiguous. Forget-gate bias
-    starts at 1.0 so early training does not wipe the cell state.
+    a Parameter and is a row view of its `Stack`, so Adam and the checkpoint
+    see one named array per gate. `weight` is column-major, so its recurrent
+    block `weight[:, X:]`, read once per step, and the input block's
+    transpose are contiguous. Forget-gate bias starts at 1.0 so early
+    training does not wipe the cell state.
     """
 
     GATES = ("input", "forget", "output", "candidate")
@@ -415,18 +490,25 @@ class LstmCell:
         self.input_size = input_size
         self.hidden_size = hidden_size
         h, z = hidden_size, input_size + hidden_size
+        self.params = params
         gates = [(params.new(f"{prefix}w_{gate}", (h, z), "glorot"),
                   params.new(f"{prefix}b_{gate}", (h,), "ones" if gate == "forget" else "zeros"))
                  for gate in self.GATES]
-        self.weight = np.empty((4 * h, z), order="F")
-        self.bias = np.empty(4 * h)
         self.gates = gates
-        for k, (gate, (w, b)) in enumerate(zip(self.GATES, gates)):
-            rows = slice(k * h, (k + 1) * h)
-            self.weight[rows], self.bias[rows] = w.data, b.data
-            w.data, b.data = self.weight[rows], self.bias[rows]
+        self.stacks = (params.stack([w for w, _ in gates], order="F"),
+                       params.stack([b for _, b in gates]))
+        self._written = -1  # the Adam step whose gradient backprop last wrote
+        for gate, (w, b) in zip(self.GATES, gates):
             setattr(self, f"w_{gate}", w)
             setattr(self, f"b_{gate}", b)
+
+    @property
+    def weight(self) -> np.ndarray:
+        return self.stacks[0].data
+
+    @property
+    def bias(self) -> np.ndarray:
+        return self.stacks[1].data
 
     def run(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Hidden states for the rows of x (n, X), plus what `backprop` needs."""
@@ -458,8 +540,9 @@ class LstmCell:
     def backprop(self, cache: tuple, d_hs: np.ndarray, need_dx: bool) -> np.ndarray | None:
         """Backpropagation through time for one `run`.
 
-        Adds the weight and bias gradients of the whole sequence into each
-        gate's `grad` and returns the gradient for x, if asked.
+        Writes the weight and bias gradients of the whole sequence into the
+        stacks' gradients, adding to what an earlier call of this Adam step
+        left there, and returns the gradient for x, if asked.
         """
         x, gates, cs, hs = cache
         n, h_size = hs.shape
@@ -485,11 +568,17 @@ class LstmCell:
             row *= slope[t]
             dc = dc * f[t]
             dh = row @ w_h
-        # column-major, as each gate's weight and grad are
-        dw, db = (np.hstack((x, h_prev)).T @ dz).T, dz.sum(axis=0)
-        for k, (w, b) in enumerate(self.gates):
-            _acc(w, dw[k * h_size:(k + 1) * h_size])
-            _acc(b, db[k * h_size:(k + 1) * h_size])
+        owner = self.w_input.owner
+        owner.ensure_arena()
+        xh = np.hstack((x, h_prev))
+        dw, db = self.stacks[0].grad.T, self.stacks[1].grad  # dw is C-order: [X+H, 4H]
+        if self._written == owner.steps:
+            dw += xh.T @ dz
+            db += dz.sum(axis=0)
+        else:  # this step's first write: the stack's gradient is still zero
+            np.matmul(xh.T, dz, out=dw)
+            np.sum(dz, axis=0, out=db)
+            self._written = owner.steps
         return dz @ self.weight[:, :self.input_size] if need_dx else None
 
 
@@ -534,40 +623,31 @@ class BiEncoder:
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
-_PIECE = 1 << 14  # elements per Adam piece: a piece of each of its arrays stays in cache
-
-
-def _pieces(arrays: Sequence[np.ndarray]) -> list[tuple[np.ndarray, ...]]:
-    """Matching pieces of at most about _PIECE elements of same-shape arrays.
-
-    Laid out like the first array, in memory order: a matrix is cut into
-    blocks of rows, or of columns if it is column-major (an LSTM gate's block).
-    """
-    if arrays[0].size <= _PIECE:
-        return [tuple(arrays)]
-    if arrays[0].strides[0] < arrays[0].strides[-1]:
-        arrays = [a.T for a in arrays]
-    step = max(1, _PIECE // math.prod(arrays[0].shape[1:]))
-    return [tuple(a[k:k + step] for a in arrays) for k in range(0, len(arrays[0]), step)]
+_PIECE = 1 << 14  # elements per Adam piece: a piece of each arena row stays in cache
 
 
 def adam_step(params: Iterable, lr: float = 0.001) -> None:
     """One Adam update with bias correction; gradients are reset to zero.
 
-    `params` yields (name, Parameter) pairs. Any non-finite gradient fails
-    the whole step before any value changes. A large parameter is updated a
-    piece at a time (see `_pieces`), so each piece's temporaries stay in cache.
+    `params` yields (name, Parameter) pairs, every member of each set they
+    belong to. A non-finite gradient fails the whole step, naming the first
+    parameter that holds one, before any value changes. Each set's arena is
+    then updated in pieces of _PIECE elements, so a piece of each of its
+    four rows stays in cache.
     """
     items = list(params)
-    for name, p in items:
-        if not np.all(np.isfinite(p.grad)):
-            raise NonFiniteError(f"non-finite gradient in parameter {name!r}")
-    for _, p in items:
-        if p.adam_m is None:
-            p.adam_m, p.adam_v = np.zeros_like(p.data), np.zeros_like(p.data)
-        t = p.step_count = p.step_count + 1
+    owners = list(dict.fromkeys(p.owner for _, p in items))
+    if len(items) != sum(len(owner.named) for owner in owners):
+        raise UsageError("adam_step updates whole parameter sets: pass every member of each")
+    arenas = [owner.ensure_arena() for owner in owners]
+    if not all(np.all(np.isfinite(arena[1])) for arena in arenas):
+        name = next(name for name, p in items if not np.all(np.isfinite(p.grad)))
+        raise NonFiniteError(f"non-finite gradient in parameter {name!r}")
+    for owner, arena in zip(owners, arenas):
+        t = owner.steps = owner.steps + 1
         m_scale, v_scale = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
-        for data, grad, m, v in _pieces((p.data, p.grad, p.adam_m, p.adam_v)):
+        for start in range(0, arena.shape[1], _PIECE):
+            data, grad, m, v = arena[:, start:start + _PIECE]
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * grad
             v *= ADAM_BETA2

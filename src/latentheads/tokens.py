@@ -54,6 +54,7 @@ class EmbeddingTable:
 
     def __init__(self, vocab: Vocabulary, dim: int, params: nn.Parameters, prefix: str = ""):
         self.vocab = vocab
+        self.params = params
         self.vectors = params.new(prefix + "vectors", (len(vocab), dim), "uniform")
         self.unknown_index = vocab.unknown_index
 
@@ -132,6 +133,11 @@ class TokenEncoder:
         """The (n, output_size) embedding matrix, one row per token."""
         if not sentence.tokens:
             raise InvalidInputError("cannot encode an empty sentence")
+        empty = [tok for tok in sentence.tokens if not tok.form] if self.char_encoder else ()
+        if empty:
+            where = f"{sentence.origin}: " if sentence.origin else ""
+            raise InvalidInputError(f"{where}token {empty[0].index} has an empty form, "
+                                    "which the word+char encoder cannot read")
         words = self.word_table.vectors[np.array(self._word_indices(sentence, training, rng))]
         if self.pos_table is not None:
             other = self.pos_table.lookup([tok.predicted_pos for tok in sentence.tokens])

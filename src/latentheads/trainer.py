@@ -233,7 +233,7 @@ def train(model: LhrModel, train_tb: Treebank, cfg: TrainConfig,
             if report.best_uas is None or result.uas > report.best_uas:
                 report.best_uas = result.uas
                 report.best_epoch = epoch
-                best_weights = {name: p.data.copy() for name, p in params}
+                best_weights = model.params.ensure_arena()[0].copy()
         report.records.append(record)
         if log is not None:
             msg = f"epoch {epoch}: loss {record.train_loss:.4f}"
@@ -241,6 +241,5 @@ def train(model: LhrModel, train_tb: Treebank, cfg: TrainConfig,
                 msg += f"  dev UAS {record.dev_uas:.4f}  LAS {record.dev_las:.4f}"
             log(msg)
     if best_weights is not None:
-        for name, p in params:
-            p.data[...] = best_weights[name]
+        model.params.arena[0] = best_weights
     return report

@@ -148,6 +148,34 @@ def test_assign_heads_never_picks_own_context_vector():
     assert tree.arc_scores == [0.2, 0.9, 0.5]
 
 
+def test_assign_heads_masks_in_place_and_leaves_the_scores_as_they_were():
+    n, root_token = 500, 7
+    rng = np.random.default_rng(5)
+    sm = scores_from(np.clip(rng.standard_normal((n, n)), -1.0, 1.0), rng.uniform(-1, 1, n))
+    sim_bytes = sm.sim.tobytes()
+
+    def masked_copy():  # the choice before the mask worked in place
+        masked = sm.sim.copy()
+        np.fill_diagonal(masked, -np.inf)
+        best = np.argmax(masked, axis=1)
+        return (best + 1).tolist(), masked[np.arange(n), best].tolist()
+
+    results, peaks = [], []
+    for choose in (masked_copy, lambda: assign_heads(sm, root_token)):
+        tracemalloc.start()
+        try:
+            results.append(choose())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    (heads, arc_scores), tree = results
+    heads[root_token - 1], arc_scores[root_token - 1] = 0, float(sm.root_sim[root_token - 1])
+    assert tree.heads == heads and tree.arc_scores == arc_scores
+    assert sm.sim.tobytes() == sim_bytes
+    # one n x n matrix fewer at the peak, less the n diagonal values it keeps
+    assert peaks[0] - peaks[1] > 0.99 * n * n * 8
+
+
 def test_root_token_out_of_range_rejected():
     with pytest.raises(InvalidInputError):
         assign_heads(scores_from(np.zeros((2, 2)), [0.1, 0.2]), 3)

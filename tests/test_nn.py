@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latentheads import decoder, nn
+from latentheads import decoder, nn, trainer
 from latentheads.errors import (ConfigurationError, InvalidInputError, LatentHeadsError,
                                 NonFiniteError, UsageError)
 
 from latentheads.model import EncodedSentence
 
-from lhr_testutil import fd_gradient, max_relative_error
+from lhr_testutil import fd_gradient, make_treebank, max_relative_error, tiny_model
 import reference_adam
 
 
@@ -383,7 +383,7 @@ def test_adam_first_step_size_is_learning_rate():
     p.grad[...] = 1.0
     nn.adam_step([("p", p)], lr=0.001)
     assert abs((5.0 - p.data[0]) - 0.001) < 1e-6
-    assert p.step_count == 1
+    assert p.owner.steps == 1
     assert np.array_equal(p.grad, np.zeros(1))
 
 
@@ -394,12 +394,13 @@ def test_parameter_makes_its_grad_on_first_read_and_keeps_it():
     assert p.grad is grad
 
 
-def test_adam_makes_its_moments_on_the_first_step():
+def test_adam_moments_are_zero_until_the_first_step():
     p = nn.Parameter(np.array([5.0]))
-    assert p.adam_m is None and p.adam_v is None
     p.grad[...] = 2.0
+    _, _, m, v = p.owner.arena
+    assert not m.any() and not v.any()
     nn.adam_step([("p", p)])
-    assert np.allclose(p.adam_m, [0.2]) and np.allclose(p.adam_v, [0.004])
+    assert np.allclose(m, [0.2]) and np.allclose(v, [0.004])
 
 
 def test_adam_descends_on_quadratic():
@@ -413,7 +414,7 @@ def test_adam_descends_on_quadratic():
     assert 0.0 < values[-1] < 1.0
 
 
-def _adam_params(seed: int) -> list[tuple[str, nn.Parameter]]:
+def _adam_params(seed: int) -> nn.Parameters:
     """Parameters of every layout a model has, at sizes around one Adam piece."""
     params = nn.Parameters(np.random.default_rng(seed))
     params.new("matrix", (130, 150), "glorot")       # C-order, 19,500 elements
@@ -422,26 +423,66 @@ def _adam_params(seed: int) -> list[tuple[str, nn.Parameter]]:
     params.new("short", (5,), "uniform")
     nn.LstmCell(150, 100, params, "big.")            # column-major gates of 25,000
     nn.LstmCell(3, 4, params, "small.")
-    return params.named
+    return params
+
+
+def _arena_row(p: nn.Parameter, row: int) -> np.ndarray:
+    """The view of arena row `row` that lies where `p.data` lies in row 0."""
+    arena = p.owner.arena
+    offset = p.data.__array_interface__["data"][0] - arena.__array_interface__["data"][0]
+    return np.ndarray(p.data.shape, arena.dtype, arena, offset + row * arena.strides[0],
+                      p.data.strides)
+
+
+def _char_model_steps(seed: int):
+    """Named parameters of a word+char model, then a gradient for each of its steps.
+
+    Each step's char encoder runs once per word, so every char-LSTM stack
+    takes several `backprop` calls before one Adam update.
+    """
+    bank = make_treebank(6, np.random.default_rng(3))
+    model = tiny_model(bank, seed=4, mode="word+char")
+    yield model.named_parameters()
+    cfg, rng = trainer.TrainConfig(), np.random.default_rng(seed)
+    for step in range(30):
+        sentence = bank.sentences[step % len(bank.sentences)]
+        trainer.sentence_loss(model, sentence, cfg, training=True, rng=rng)[0].backward()
+        yield
+
+
+def _random_grads(seed: int):
+    params = _adam_params(0)
+    named = params.named
+    yield named
+    rng = np.random.default_rng(seed)
+    for step in range(30):
+        for _, p in named:
+            p.grad[...] = rng.standard_normal(p.data.shape) * (step % 3)
+        yield
 
 
 def test_adam_in_pieces_leaves_the_bytes_of_the_whole_array_update():
-    ref, new = _adam_params(0), _adam_params(0)
-    assert any(p.data.size > nn._PIECE and p.data.size % nn._PIECE for _, p in new)
-    rng = np.random.default_rng(1)
-    for step in range(30):
-        for (_, a), (_, b) in zip(ref, new):
-            a.grad[...] = b.grad[...] = rng.standard_normal(a.data.shape) * (step % 3)
-        reference_adam.adam_step(ref, lr=0.01)
-        nn.adam_step(new, lr=0.01)
-    for (name, a), (_, b) in zip(ref, new):
-        for x, y in ((a.data, b.data), (a.adam_m, b.adam_m), (a.adam_v, b.adam_v)):
-            assert x.tobytes() == y.tobytes(), name
-        assert b.step_count == 30 and not b.grad.any()
+    sizes = []
+    for steps in (_random_grads, _char_model_steps):
+        ref_steps, new_steps = steps(1), steps(1)
+        ref, new = next(ref_steps), next(new_steps)
+        sizes.append(new[0][1].owner.ensure_arena().shape[1])
+        moments = {}
+        for _ in zip(ref_steps, new_steps):
+            reference_adam.adam_step(ref, 0.01, moments)
+            nn.adam_step(new, lr=0.01)
+        for (name, a), (_, b) in zip(ref, new):
+            m, v, t = moments[a]
+            for x, y in ((a.data, b.data), (m, _arena_row(b, 2)), (v, _arena_row(b, 3))):
+                assert x.tobytes() == y.tobytes(), name
+            assert t == 30 and not b.grad.any()
+        assert new[0][1].owner.steps == 30
+    assert any(size > nn._PIECE and size % nn._PIECE for size in sizes)  # a last short piece
 
 
 def test_adam_in_pieces_names_the_first_non_finite_gradient_and_changes_nothing():
-    named = _adam_params(0)
+    arena_set = _adam_params(0)
+    named = arena_set.named
     params = dict(named)
     rng = np.random.default_rng(2)
     for _, p in named:
@@ -449,15 +490,30 @@ def test_adam_in_pieces_names_the_first_non_finite_gradient_and_changes_nothing(
     nn.adam_step(named)
     for _, p in named:
         p.grad[...] = rng.standard_normal(p.data.shape)
-    params["big.w_forget"].grad[-1, -1] = np.inf  # in the last piece of a column-major gate
+    params["big.w_forget"].grad[-1, -1] = np.inf  # in the last column of a column-major stack
     params["small.w_candidate"].grad[0, 0] = np.nan
-    before = [(p.data.tobytes(), p.grad.tobytes(), p.adam_m.tobytes(), p.adam_v.tobytes())
-              for _, p in named]
+    before = arena_set.arena.tobytes()
     with pytest.raises(NonFiniteError, match="parameter 'big.w_forget'"):
         nn.adam_step(named)
-    assert before == [(p.data.tobytes(), p.grad.tobytes(), p.adam_m.tobytes(),
-                       p.adam_v.tobytes()) for _, p in named]
-    assert all(p.step_count == 1 for _, p in named)
+    assert arena_set.arena.tobytes() == before
+    assert arena_set.steps == 1
+
+
+def test_adam_takes_whole_sets_and_the_arena_takes_no_late_declaration():
+    params = nn.Parameters(np.random.default_rng(0))
+    a = params.new("a", (2,), "uniform")
+    params.new("b", (3,), "uniform")
+    with pytest.raises(UsageError, match="whole parameter sets"):
+        nn.adam_step([("a", a)])
+    nn.adam_step(params.named)
+    with pytest.raises(UsageError, match="'c' declared after training built the arena"):
+        params.new("c", (1,), "zeros")
+
+
+def test_a_parameter_whose_set_was_freed_says_so():
+    p = nn.DenseLayer(2, 2, "identity", nn.Parameters(np.random.default_rng(0))).weights
+    with pytest.raises(UsageError, match="Parameters set was freed"):
+        p.grad
 
 
 def test_adam_rejects_non_finite_gradient_without_mutating():
@@ -469,7 +525,7 @@ def test_adam_rejects_non_finite_gradient_without_mutating():
         nn.adam_step([("p", p), ("q", q)])
     assert np.array_equal(p.data, [1.0, 2.0])
     assert np.array_equal(q.data, [3.0])
-    assert q.step_count == 0
+    assert q.owner.steps == 0
 
 
 # --------------------------------------------------------------------- losses

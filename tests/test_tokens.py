@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import copy
+import re
+
 import numpy as np
 import pytest
 
-from latentheads import nn
-from latentheads.conll import Sentence, Token, Vocabulary
+from latentheads import decoder, nn, trainer
+from latentheads.conll import Sentence, Token, Vocabulary, read_conll
 from latentheads.errors import ConfigurationError, InvalidInputError, UsageError
 from latentheads.tokens import (CharEncoder, EncoderConfig, TokenEncoder,
                                 char_vocab_from_words, drop_probability)
+
+from lhr_testutil import fixture_path, tiny_model
 
 
 def small_vocabs():
@@ -216,8 +221,27 @@ def test_char_encoder_projects_a_sentence_in_one_call():
 
 
 def test_char_mode_rejects_an_empty_form():
-    with pytest.raises(InvalidInputError, match="empty sequence"):
-        encoder(mode="word+char").encode(sent([("dog", "NOUN"), ("", "X")]))
+    sentence = sent([("dog", "NOUN"), ("", "X")])
+    sentence.origin = "corpus.conllu:7"
+    with pytest.raises(InvalidInputError,
+                       match="^corpus.conllu:7: token 2 has an empty form, which the word"):
+        encoder(mode="word+char").encode(sentence)
+
+
+@pytest.mark.parametrize("call", ["parse", "train_sentence"])
+def test_char_mode_names_the_origin_and_token_of_an_empty_form(call):
+    tb = read_conll(fixture_path("toy_train.conllu"))
+    model = tiny_model(tb, seed=1, mode="word+char")
+    sentence = copy.deepcopy(tb.sentences[2])
+    sentence.tokens[3].form = ""
+    assert sentence.origin.endswith("toy_train.conllu:16")
+    run = {"parse": lambda: decoder.parse(model, sentence),
+           "train_sentence": lambda: trainer.train_sentence(
+               model, sentence, trainer.TrainConfig(), np.random.default_rng(0),
+               model.named_parameters())}[call]
+    with pytest.raises(InvalidInputError,
+                       match=f"^{re.escape(sentence.origin)}: token 4 has an empty form"):
+        run()
 
 
 def test_word_char_mode_reads_capitals_through_their_lowercase_letters():

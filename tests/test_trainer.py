@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from latentheads import decoder, nn, trainer
+from latentheads import decoder, nn, serialize, trainer
 from latentheads.conll import Sentence, Token, Treebank
 from latentheads.errors import ConfigurationError, InvalidInputError, NonFiniteError
 from latentheads.evaluation import evaluate
@@ -13,6 +16,7 @@ from latentheads.trainer import (TrainConfig, labeler_loss, reconstruction_loss,
 
 from lhr_testutil import (fd_gradient, make_sentence, make_treebank,
                       max_relative_error, tiny_model)
+from test_serialize import _cells
 
 
 def three_token_sentence():
@@ -368,3 +372,90 @@ def test_report_tsv_has_one_row_per_epoch(toy, tmp_path):
     assert lines[0].split("\t") == ["epoch", "train_loss", "dev_uas", "dev_las"]
     assert len(lines) == 4
     assert lines[1].split("\t")[0] == "1"
+
+
+# ---------------------------------------------------------------------- arena
+
+@pytest.mark.parametrize("mode", ["word+pos", "word+char"])
+def test_first_training_step_moves_every_weight_into_the_arena(toy, mode):
+    model = tiny_model(toy, seed=3, mode=mode)
+    named = model.named_parameters()
+    assert model.params.arena is None
+    train_sentence(model, toy.sentences[0], TrainConfig(), np.random.default_rng(0), named)
+    arena = model.params.arena
+    assert arena.shape == (4, sum(p.data.size for _, p in named))
+    for name, p in named:
+        assert np.shares_memory(p.data, arena[0]) and np.shares_memory(p.grad, arena[1]), name
+    for cell in _cells(model):
+        assert np.shares_memory(cell.weight, arena[0]) and np.shares_memory(cell.bias, arena[0])
+        assert cell.weight[:, cell.input_size:].flags.f_contiguous
+        h = cell.hidden_size
+        for k, (w, b) in enumerate(cell.gates):
+            for gate, stack in ((w.data, cell.weight), (b.data, cell.bias)):
+                rows = stack[k * h:(k + 1) * h]
+                assert gate.__array_interface__ == rows.__array_interface__
+
+
+def test_building_the_arena_keeps_every_weight(toy):
+    model = tiny_model(toy, seed=3, mode="word+char")
+    before = [p.data.copy() for _, p in model.named_parameters()]
+    model.params.ensure_arena()
+    assert all(np.array_equal(p.data, b) for (_, p), b in zip(model.named_parameters(), before))
+
+
+@pytest.mark.parametrize("mode", ["word+pos", "word+char"])
+def test_writing_into_the_arena_changes_the_next_forward_pass(toy, mode, tmp_path):
+    model = tiny_model(toy, seed=3, mode=mode)
+    train_sentence(model, toy.sentences[0], TrainConfig(), np.random.default_rng(0),
+                   model.named_parameters())
+    sentence = toy.sentences[1]
+    with nn.no_grad():
+        trained = model.latent_structure(model.encode_sentence(sentence))
+    arena = model.params.arena
+    arena[0] = np.random.default_rng(1).uniform(-0.5, 0.5, arena.shape[1])
+    # a checkpoint saved now holds the arena's values; a model loaded from it
+    # reads only those, so any module still reading an old copy would differ
+    path = str(tmp_path / "m.npz")
+    serialize.save_model(model, path)
+    loaded = serialize.load_model(path)
+    with nn.no_grad():
+        written = model.latent_structure(model.encode_sentence(sentence))
+        expected = loaded.latent_structure(loaded.encode_sentence(sentence))
+    assert not np.array_equal(written, trained)
+    assert np.array_equal(written, expected)
+    assert decoder.parse(model, sentence) == decoder.parse(loaded, sentence)
+
+
+def test_two_backward_calls_before_one_adam_step_sum_their_gradients(toy):
+    first, second = toy.sentences[0], toy.sentences[1]
+    grads = []
+    for sentences in ([first], [second], [first, second]):
+        model = tiny_model(toy, seed=3)
+        for s in sentences:
+            sentence_loss(model, s, TrainConfig())[0].backward()
+        grads.append(model.params.arena[1].copy())
+    assert np.any(grads[0]) and np.any(grads[1])
+    assert np.allclose(grads[2], grads[0] + grads[1], rtol=1e-12, atol=1e-15)
+
+
+def test_a_loaded_model_that_only_parses_never_builds_the_arena(toy, tmp_path):
+    path = str(tmp_path / "m.npz")
+    serialize.save_model(tiny_model(toy, seed=3, mode="word+char"), path)
+    loaded = serialize.load_model(path)
+    for s in toy.sentences:
+        decoder.parse(loaded, s)
+    assert loaded.params.arena is None
+    assert all(p._grad is None for _, p in loaded.named_parameters())
+
+
+def test_a_trained_model_is_freed_without_the_cycle_collector(toy):
+    gc.disable()
+    try:
+        model = tiny_model(toy, seed=3, mode="word+char")
+        train_sentence(model, toy.sentences[0], TrainConfig(), np.random.default_rng(0),
+                       model.named_parameters())
+        params = weakref.ref(model.params)
+        del model
+        assert params() is None
+    finally:
+        gc.enable()
