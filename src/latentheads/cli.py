@@ -2,7 +2,8 @@
 
 Every optional flag can also come from a flat key=value config file
 (--config); explicit command line flags win over the file, the file wins over
-built-in defaults. Usage problems exit 2, runtime failures exit 1.
+built-in defaults. Usage problems exit 2, runtime failures exit 1, an
+interrupt 130.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 from . import decoder, serialize, export as export_mod
 from .conll import (FORMATS, PunctuationRule, build_vocabularies, find_cycles,
-                    read_conll, read_lines, write_conll)
+                    output_target, read_conll, read_lines, write_conll)
 from .decoder import DependencyTree
 from .errors import DataFormatError, LatentHeadsError, UsageError
 from .evaluation import evaluate
@@ -181,8 +182,9 @@ def cmd_train(args) -> int:
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise OSError(f"cannot write {path}: no directory {folder}")
-        if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        if os.path.isdir(path):
             raise OSError(f"cannot write {path}: not a writable file")
+        output_target(path)  # a write-protected file or folder raises here
     punct = _punct_rule(args)
     train_tb = read_conll(args.train, fmt=args.format, punct=punct)
     dev_tb = read_conll(args.dev, fmt=args.format, punct=punct) if args.dev else None
@@ -209,6 +211,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_parse(args) -> int:
+    if not args.output and sys.stdout is None:  # started with standard output closed
+        raise UsageError("no standard output; give --output FILE")
     model = serialize.load_model(args.model)
     tb = read_conll(args.input, fmt=args.format, strict=False)
     trees = [decoder.parse(model, s, pos_correction=not args.no_pos_correction)
@@ -272,6 +276,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy's message names the allocation that failed
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # an interrupted train saves nothing
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

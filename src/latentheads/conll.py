@@ -8,9 +8,11 @@ uniformly after parsing.
 
 from __future__ import annotations
 
+import errno
 import io
+import os
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -181,6 +183,57 @@ def read_lines(path: str) -> list[str]:
     return [raw.rstrip("\n") for raw in io.StringIO(text, newline=None)]
 
 
+def output_target(path: str) -> str | None:
+    """The regular file `output_file` renames its temporary onto, or None when
+    it opens `path` directly (a FIFO, a device, a name ending in a slash, which
+    open() rejects and realpath would strip).
+
+    A write-protected file (one this user may not write, or one with no write
+    bit at all, as chmod a-w leaves it) or a directory that cannot take the
+    temporary raises PermissionError naming `path`; nothing is created.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target) or not os.path.basename(path):
+        return None
+    folder = os.path.dirname(target)
+    protected = os.path.isfile(target) and not (os.access(target, os.W_OK)
+                                                and os.stat(target).st_mode & 0o222)
+    if protected or os.path.isdir(folder) and not os.access(folder, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    return target
+
+
+@contextmanager
+def output_file(path, binary: bool = False):
+    """The one opener of outputs: `path` appears whole or not at all.
+
+    A temporary file beside the target (a symlink's target) gets open()'s mode
+    or the replaced file's, is renamed over the target when the block ends and
+    is removed on any exception. No fsync: a power loss is not covered. An open
+    stream, or a path that is not a regular file (a FIFO), is written directly.
+    """
+    mode, encoding = ("wb", None) if binary else ("w", "utf-8")
+    target = None if hasattr(path, "write") else output_target(path)
+    if target is None:
+        with nullcontext(path) if hasattr(path, "write") else io.open(path, mode, encoding=encoding) as f:
+            yield f
+        return
+    temp = f"{target}.{os.urandom(6).hex()}.tmp"
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # umask applies
+    except OSError as exc:  # name the path asked for, not the temporary
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with io.open(fd, mode, encoding=encoding) as f:
+            if os.path.isfile(target):
+                os.chmod(f.fileno(), os.stat(target).st_mode & 0o7777)
+            yield f
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def _parse_block(lines: list[tuple[int, str]], comments: list[str], fmt: str,
                  path: str, strict: bool, punct: PunctuationRule) -> Sentence:
     tokens: list[Token] = []
@@ -280,19 +333,15 @@ def write_conll(tb: Treebank, trees, path) -> None:
     `path` may also be an open text stream.
     """
     if trees is not None and len(trees) != len(tb.sentences):
-        raise InvalidInputError(
-            f"{len(trees)} trees for {len(tb.sentences)} sentences")
-    preds = []  # every tree is checked before the output opens: no partial file
-    for si, sent in enumerate(tb.sentences):
-        tree = trees[si] if trees is not None else None
-        n = len(sent.tokens)
-        preds.append([[None] * n] * 3 if tree is None else [tree.heads, tree.labels, tree.pos])
-        if any(len(column) != n for column in preds[-1]):
-            raise InvalidInputError(f"sentence {si}: {len(tree.heads)} heads, {len(tree.labels)} "
-                                    f"labels and {len(tree.pos)} POS tags for {n} tokens")
-    opened = nullcontext(path) if hasattr(path, "write") else io.open(path, "w", encoding="utf-8")
-    with opened as f:
-        for sent, columns in zip(tb.sentences, preds):
+        raise InvalidInputError(f"{len(trees)} trees for {len(tb.sentences)} sentences")
+    with output_file(path) as f:
+        for si, sent in enumerate(tb.sentences):
+            tree = trees[si] if trees is not None else None
+            n = len(sent.tokens)
+            columns = [[None] * n] * 3 if tree is None else [tree.heads, tree.labels, tree.pos]
+            if any(len(column) != n for column in columns):
+                raise InvalidInputError(f"sentence {si}: {len(tree.heads)} heads, {len(tree.labels)} "
+                                        f"labels and {len(tree.pos)} POS tags for {n} tokens")
             lines = [*sent.comments, *map(_token_line, sent.tokens, *columns), ""]
             f.write("\n".join(lines) + "\n")
 

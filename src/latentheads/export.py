@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from . import nn
-from .conll import Treebank, read_lines
+from .conll import Treebank, output_file, read_lines
 from .errors import DataFormatError, InvalidInputError
 from .model import LhrModel
 
@@ -29,26 +29,8 @@ def sentence_vectors(model: LhrModel, sentence) -> list[tuple[str, np.ndarray]]:
     return [(tok.form, row) for tok, row in zip(sentence.tokens, rows)]
 
 
-def _check(model: LhrModel, tb: Treebank, binary: bool) -> None:
-    """Reject what would fail mid-write before the output opens: no partial file."""
-    chars = model.config.encoder.mode == "word+char"  # each form's characters are encoded
-    for k, sent in enumerate(tb.sentences):
-        if not sent.tokens:
-            raise InvalidInputError(f"sentence {k}: cannot encode an empty sentence")
-        for j, tok in enumerate(sent.tokens if binary or chars else ()):
-            if chars and not tok.form:
-                where = f"{sent.origin}: " if sent.origin else ""
-                raise InvalidInputError(f"{where}sentence {k} token {j}: empty form")
-            size = len(tok.form.encode("utf-8"))
-            if binary and size > 0xFFFF:
-                raise InvalidInputError(
-                    f"sentence {k} token {j}: form is {size} UTF-8 bytes, "
-                    "the binary latent-structure format holds at most 65535")
-
-
 def write_lss_text(model: LhrModel, tb: Treebank, path: str) -> None:
-    _check(model, tb, binary=False)
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         fh.write(f"lss 1 sentences {len(tb.sentences)}\n")
         for k, sent in enumerate(tb.sentences):
             rows = sentence_vectors(model, sent)
@@ -103,14 +85,17 @@ def read_lss_text(path: str) -> list[list[tuple[str, np.ndarray]]]:
 
 
 def write_lss_binary(model: LhrModel, tb: Treebank, path: str) -> None:
-    _check(model, tb, binary=True)
-    with open(path, "wb") as fh:
+    with output_file(path, binary=True) as fh:
         fh.write(_MAGIC + struct.pack("<I", len(tb.sentences)))
         for k, sent in enumerate(tb.sentences):
             rows = sentence_vectors(model, sent)
             fh.write(struct.pack("<II", len(rows), rows[0][1].shape[0]))
-            for form, vec in rows:
+            for j, (form, vec) in enumerate(rows):
                 raw = form.encode("utf-8")
+                if len(raw) > 0xFFFF:
+                    raise InvalidInputError(
+                        f"sentence {k} token {j}: form is {len(raw)} UTF-8 bytes, "
+                        "the binary latent-structure format holds at most 65535")
                 fh.write(struct.pack("<H", len(raw)) + raw + vec.astype("<f8", copy=False).tobytes())
 
 

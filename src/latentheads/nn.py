@@ -640,9 +640,11 @@ def adam_step(params: Iterable, lr: float = 0.001) -> None:
     if len(items) != sum(len(owner.named) for owner in owners):
         raise UsageError("adam_step updates whole parameter sets: pass every member of each")
     arenas = [owner.ensure_arena() for owner in owners]
-    if not all(np.all(np.isfinite(arena[1])) for arena in arenas):
-        name = next(name for name, p in items if not np.all(np.isfinite(p.grad)))
-        raise NonFiniteError(f"non-finite gradient in parameter {name!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # one BLAS pass, no bool array
+        finite = all(math.isfinite(arena[1] @ arena[1]) for arena in arenas)
+    bad = [] if finite else [name for name, p in items if not np.all(np.isfinite(p.grad))]
+    if bad:  # none if finite entries above about 1e154 overflowed the product
+        raise NonFiniteError(f"non-finite gradient in parameter {bad[0]!r}")
     for owner, arena in zip(owners, arenas):
         t = owner.steps = owner.steps + 1
         m_scale, v_scale = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t

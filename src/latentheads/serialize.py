@@ -15,7 +15,7 @@ import zipfile
 import numpy as np
 
 from . import nn
-from .conll import Vocabulary
+from .conll import Vocabulary, output_file
 from .errors import CheckpointError, ConfigurationError, InvalidInputError
 from .model import LhrModel, ModelConfig
 from .tokens import EncoderConfig
@@ -108,7 +108,7 @@ def save_model(model: LhrModel, path: str) -> None:
     arrays = {"meta": np.frombuffer(meta_bytes, dtype=np.uint8)}
     for name, p in model.named_parameters():
         arrays[f"param/{name}"] = p.data
-    with open(path, "wb") as fh:  # given a path, np.savez would append ".npz"
+    with output_file(path, binary=True) as fh:  # given a path, np.savez would append ".npz"
         np.savez(fh, **arrays)
 
 

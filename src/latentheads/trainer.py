@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import decoder, nn
-from .conll import Sentence, Treebank, tree_problem
+from .conll import Sentence, Treebank, output_file, tree_problem
 from .errors import ConfigurationError, InvalidInputError
 from .evaluation import evaluate
 from .model import EncodedSentence, LhrModel
@@ -194,7 +194,7 @@ class TrainReport:
     best_uas: float | None = None
 
     def save_tsv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with output_file(path) as fh:
             fh.write("epoch\ttrain_loss\tdev_uas\tdev_las\n")
             for r in self.records:
                 uas = "" if r.dev_uas is None else f"{r.dev_uas:.6f}"

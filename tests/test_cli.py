@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import latentheads
-from latentheads import cli, conll, decoder, export, serialize
+from latentheads import cli, conll, decoder, export, nn, serialize
 from latentheads.cli import main
 from latentheads.model import ModelConfig
 from latentheads.tokens import EncoderConfig
@@ -215,6 +216,16 @@ def test_train_checks_its_output_paths_before_training(tmp_path, capsys, flag):
     assert kept.read_bytes() == b"an earlier checkpoint"
 
 
+def test_train_refuses_a_write_protected_checkpoint_before_training(tmp_path, capsys):
+    kept = tmp_path / "kept.npz"
+    kept.write_bytes(b"an earlier checkpoint")
+    kept.chmod(0o444)
+    loud = [arg for arg in FAST if arg != "--quiet"]  # each epoch would be logged
+    assert main(["train", "--train", TRAIN, *loud, "--model", str(kept)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{kept}'\n"
+    assert kept.read_bytes() == b"an earlier checkpoint" and list(tmp_path.iterdir()) == [kept]
+
+
 @pytest.mark.parametrize("exc, expected", [
     (MemoryError("Unable to allocate 1.00 TiB for an array with shape (524288, 262144) "
                  "and data type float64"),
@@ -229,6 +240,28 @@ def test_running_out_of_memory_exits_1(monkeypatch, capsys, exc, expected):
     code = main(["parse", "--model", fixture_path("toy_model_v1.npz"), "--input", DEV])
     assert code == 1
     assert capsys.readouterr().err == expected
+
+
+def test_parse_with_standard_output_closed_exits_2_naming_output(tmp_path):
+    src = str(Path(latentheads.__file__).parent.parent)
+    proc = subprocess.run(  # `>&-` starts the interpreter with sys.stdout None
+        ["sh", "-c", '"$0" -m latentheads.cli parse --model "$1" --input "$2" >&-',
+         sys.executable, fixture_path("toy_model_v1.npz"), DEV],
+        capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (2, "error: no standard output; give --output FILE\n")
+
+
+def test_an_interrupted_train_exits_130_and_saves_nothing(tmp_path, monkeypatch, capsys):
+    steps = []
+
+    def adam_step(*args, **kwargs):
+        steps.append(1)
+        if len(steps) == 3:
+            raise KeyboardInterrupt
+    monkeypatch.setattr(nn, "adam_step", adam_step)
+    assert main(train_args(tmp_path / "m.npz", "--curve", str(tmp_path / "c.tsv"))) == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert len(steps) == 3 and list(tmp_path.iterdir()) == []
 
 
 def test_export_lss_round_trips(trained, tmp_path, capsys):

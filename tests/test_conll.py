@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import os
 import re
+import stat
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -94,6 +97,69 @@ def test_write_empty_treebank(tmp_path):
     out = tmp_path / "empty.conllu"
     write_conll(Treebank([]), None, str(out))
     assert out.read_text(encoding="utf-8") == ""
+
+
+def test_a_new_output_gets_the_mode_open_gives_and_a_replaced_one_keeps_its_own(tmp_path,
+                                                                                  toy_dev):
+    opened, written = tmp_path / "opened", tmp_path / "written"
+    with open(opened, "w"):
+        pass
+    write_conll(toy_dev, None, str(written))
+    assert stat.S_IMODE(written.stat().st_mode) == stat.S_IMODE(opened.stat().st_mode)
+    written.chmod(0o640)
+    write_conll(toy_dev, None, str(written))
+    assert stat.S_IMODE(written.stat().st_mode) == 0o640
+
+
+def test_writing_through_a_symlink_replaces_its_target_and_keeps_the_link(tmp_path, toy_dev):
+    target, link = tmp_path / "real.conllu", tmp_path / "link.conllu"
+    target.write_text("earlier output\n", encoding="utf-8")
+    link.symlink_to(target)
+    write_conll(toy_dev, None, str(link))
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == Path(fixture_path("toy_dev.conllu")).read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.conllu", "real.conllu"]
+
+
+def test_a_name_ending_in_a_slash_is_refused_as_open_refuses_it(tmp_path, toy_dev):
+    with pytest.raises(IsADirectoryError, match=re.escape(f"Is a directory: '{tmp_path}/out/'")):
+        write_conll(toy_dev, None, f"{tmp_path}/out/")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_path_that_is_not_a_regular_file_is_written_in_place(tmp_path, toy_dev):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_conll(toy_dev, None, str(fifo))
+    reader.join(timeout=60)
+    assert read == [Path(fixture_path("toy_dev.conllu")).read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode) and list(tmp_path.iterdir()) == [fifo]
+
+
+@pytest.mark.parametrize("refusal", ["read-only-file", "folder-access", "folder-create"])
+def test_an_output_that_cannot_be_written_is_refused_naming_the_path(tmp_path, toy_dev,
+                                                                     monkeypatch, refusal):
+    # chmod a-w protects a file even from root, whom open() would let through. The
+    # temporary file goes beside the target, so a read-only directory refuses a
+    # writable file too; its up-front check and the temporary's creation are faked
+    # here, since a directory's mode does not stop root.
+    kept = tmp_path / "kept.conllu"
+    kept.write_bytes(b"earlier output\n")
+    if refusal == "read-only-file":
+        kept.chmod(0o444)
+    elif refusal == "folder-access":
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: p != str(tmp_path) and access(p, mode))
+    else:
+        def create(path, *args):
+            raise PermissionError(13, "Permission denied", path)
+        monkeypatch.setattr(os, "open", create)
+    with pytest.raises(PermissionError, match=re.escape(f"[Errno 13] Permission denied: '{kept}'")):
+        write_conll(toy_dev, None, str(kept))
+    assert kept.read_bytes() == b"earlier output\n" and list(tmp_path.iterdir()) == [kept]
 
 
 def test_write_rejects_misaligned_trees(tmp_path):

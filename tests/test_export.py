@@ -8,9 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from latentheads import export, serialize
+from latentheads import decoder, export, nn, serialize
 from latentheads.conll import Sentence, Treebank, read_conll, write_conll
 from latentheads.errors import DataFormatError, InvalidInputError
+from latentheads.model import EncodedSentence
+from latentheads.trainer import EpochRecord, TrainReport
 
 from lhr_testutil import fixture_path, make_treebank, tiny_model
 
@@ -87,6 +89,28 @@ def test_both_formats_write_the_bytes_of_a_per_field_reference(tmp_path):
     assert (tmp_path / "dev.bin").read_bytes() == b"".join(binary)
 
 
+@pytest.mark.parametrize("fmt", export.LSS_FORMATS)
+def test_the_exported_structure_decodes_to_the_parse(fmt, tmp_path):
+    # the exported [c; h] rows and the checkpoint's root vector are all a
+    # consumer needs to rebuild the parser's heads and arc scores
+    model = serialize.load_model(fixture_path("toy_model_v1.npz"))
+    tb = read_conll(fixture_path("toy_dev.conllu"), strict=False)
+    path = str(tmp_path / "dev.lss")
+    export.export_lss(model, tb, path, fmt=fmt)
+    payload = (export.read_lss_text if fmt == "text" else export.read_lss_binary)(path)
+    size = model.config.context_size
+    assert len(payload) == len(tb.sentences) == 10
+    for sentence, rows in zip(tb.sentences, payload):
+        lhr = np.stack([vec for _, vec in rows])
+        enc = EncodedSentence(nn.Tensor(lhr[:, :size]), nn.Tensor(lhr[:, size:]))
+        scores = decoder.build_scores(enc, model.root_vector)
+        tree = decoder.repair_cycles(decoder.assign_heads(scores, decoder.select_root(scores)),
+                                     scores)
+        parsed = decoder.parse(model, sentence)
+        assert tree.heads == parsed.heads
+        assert np.array(tree.arc_scores).tobytes() == np.array(parsed.arc_scores).tobytes()
+
+
 def test_vector_length_is_twice_context_size(model, bank, tmp_path):
     path = tmp_path / "v.lss"
     export.export_lss(model, bank, str(path), fmt="text")
@@ -150,39 +174,85 @@ def test_binary_writer_failure_leaves_no_partial_file(model, bank, tmp_path):
     assert kept.read_bytes() == b"earlier output"
 
 
-def _rejected_write(kind, model, bank):
-    """A write call whose input fails past the first sentence, and its message."""
+def _write_conll_with(tree5):
+    """A write of toy_dev.conllu whose sixth tree is `tree5`."""
+    tb = read_conll(fixture_path("toy_dev.conllu"))
+    trees = [SimpleNamespace(heads=[0] * len(s), labels=["x"] * len(s), pos=["X"] * len(s))
+             for s in tb.sentences]
+    trees[5] = tree5
+    return lambda path: write_conll(tb, trees, path)
+
+
+WRITERS = ["write_conll", "text", "binary", "save_model", "save_tsv"]
+FAULTS = {"OSError": (lambda: OSError(28, "No space left on device"),
+                      r"^\[Errno 28\] No space left on device$"),
+          "interrupt": (KeyboardInterrupt, "^$")}
+
+
+def _failing_write(writer, fault, model, bank, monkeypatch):
+    """A call of `writer` that raises `fault()` after writing part of its output."""
+    def fail(*args):
+        raise fault()
+
+    class Failing:  # fails where a writer takes its length or formats it
+        __len__ = __format__ = fail
+
+    if writer == "write_conll":
+        return _write_conll_with(SimpleNamespace(heads=Failing(), labels=[], pos=[]))
+    if writer in ("text", "binary"):
+        vectors = export.sentence_vectors
+
+        def fourth_fails(m, sentence):
+            return fail() if sentence is bank.sentences[3] else vectors(m, sentence)
+        monkeypatch.setattr(export, "sentence_vectors", fourth_fails)
+        return lambda path: export.export_lss(model, bank, path, fmt=writer)
+    if writer == "save_model":
+        def savez(fh, **arrays):
+            fh.write(b"PK\x03\x04 the first bytes of an archive")
+            fail()
+        monkeypatch.setattr(np, "savez", savez)
+        return lambda path: serialize.save_model(model, path)
+    return TrainReport([EpochRecord(1, 0.5), EpochRecord(2, Failing())]).save_tsv
+
+
+def _rejected_write(kind, model, bank, monkeypatch):
+    """A write call whose input or output fails past the first sentence, and the
+    exception type and message it raises."""
+    writer, _, fault = kind.partition("-")
+    if fault in FAULTS:
+        make, message = FAULTS[fault]
+        return (_failing_write(writer, make, model, bank, monkeypatch), type(make()), message)
     if kind == "write_conll":
-        tb = read_conll(fixture_path("toy_dev.conllu"))
-        trees = [SimpleNamespace(heads=[0] * len(s), labels=["x"] * len(s), pos=["X"] * len(s))
-                 for s in tb.sentences]
-        trees[5] = SimpleNamespace(heads=[0], labels=["root"], pos=["X"])
-        return (lambda path: write_conll(tb, trees, path)), "^sentence 5: 1 heads"
+        return (_write_conll_with(SimpleNamespace(heads=[0], labels=["root"], pos=["X"])),
+                InvalidInputError, "^sentence 5: 1 heads")
     if kind.endswith("empty-form"):  # a char-mode model has no characters to encode
         tb = Treebank(copy.deepcopy(bank.sentences))
         tb.sentences[3].tokens[1].form = ""
         tb.sentences[3].origin = "corpus.conllu:12"
         char_model = tiny_model(bank, seed=2, mode="word+char")
-        return ((lambda path: export.export_lss(char_model, tb, path, fmt=kind.split("-")[0])),
-                "^corpus.conllu:12: sentence 3 token 1: empty form$")
+        return ((lambda path: export.export_lss(char_model, tb, path, fmt=writer)),
+                InvalidInputError, "^corpus.conllu:12: token 2 has an empty form, "
+                                   "which the word\\+char encoder cannot read$")
     tb = Treebank([*bank.sentences[:3], Sentence(tokens=[]), bank.sentences[4]])
-    return ((lambda path: export.export_lss(model, tb, path, fmt=kind)),
-            "^sentence 3: cannot encode an empty sentence$")
+    return ((lambda path: export.export_lss(model, tb, path, fmt=writer)), InvalidInputError,
+            "^cannot encode an empty sentence$")
 
 
 @pytest.mark.parametrize("kind", ["write_conll", "text", "binary",
-                                  "text-empty-form", "binary-empty-form"])
+                                  "text-empty-form", "binary-empty-form",
+                                  *(f"{w}-{f}" for w in WRITERS for f in FAULTS)])
 def test_a_rejected_input_leaves_no_file_and_an_existing_file_unchanged(kind, model, bank,
-                                                                        tmp_path):
-    write, message = _rejected_write(kind, model, bank)
+                                                                        tmp_path, monkeypatch):
+    write, error, message = _rejected_write(kind, model, bank, monkeypatch)
     fresh = tmp_path / "fresh"
     kept = tmp_path / "kept"
     kept.write_bytes(b"earlier output\n")
     for path in (fresh, kept):
-        with pytest.raises(InvalidInputError, match=message):
+        with pytest.raises(error, match=message):
             write(str(path))
     assert not fresh.exists()
     assert kept.read_bytes() == b"earlier output\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]  # no temporary file is left
 
 
 def test_empty_treebank_rejected(model, tmp_path):

@@ -58,6 +58,51 @@ def test_parameters_are_made_only_by_the_registry():
     assert made == []
 
 
+def _writes_around_the_helper(source: str, name: str) -> list[str]:
+    """Calls in `source` that could write an output other than through
+    conll.output_file: an open() whose mode may write, any os.open, or an
+    np.save* whose file is not a `with output_file(...) as f` name."""
+    tree = ast.parse(source)
+    helper = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+              and name == "conll.py" and fn.name == "output_file" for node in ast.walk(fn)}
+    opened = {item.optional_vars.id for node in ast.walk(tree) if isinstance(node, ast.With)
+              for item in node.items if isinstance(item.context_expr, ast.Call)
+              and "output_file" in (getattr(item.context_expr.func, "id", None),
+                                    getattr(item.context_expr.func, "attr", None))
+              and isinstance(item.optional_vars, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in helper:
+            continue
+        func = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        owner = getattr(getattr(node.func, "value", None), "id", None)
+        if func == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            writes = not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+"))
+        elif func and func.startswith("save") and owner in ("np", "numpy"):
+            first = node.args[0] if node.args else None
+            writes = not (isinstance(first, ast.Name) and first.id in opened)
+        else:
+            writes = False
+        if writes or (func == "open" and owner == "os"):
+            found.append(f"{name}:{node.lineno}: {ast.unparse(node.func)}")
+    return found
+
+
+def test_only_the_output_helper_opens_an_output():
+    # a writer that opens its own path can leave a half-written file behind
+    found = [hit for path in SOURCES
+             for hit in _writes_around_the_helper(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+    probe = ("with open(p, 'rb') as f, open(q) as g, output_file(r) as h:\n"
+             "    np.savez(h, a=1)\n"
+             "io.open(p, 'w'); open(p, mode='ab'); open(p, m); os.open(p, 1)\n"
+             "np.save(p, a); np.savez(f, a=1)\n")
+    assert [hit.partition(": ")[2] for hit in _writes_around_the_helper(probe, "x.py")] == [
+        "io.open", "open", "open", "os.open", "np.save", "np.savez"]
+
+
 PROBE = """from hypothesis import given, strategies as st
 
 

@@ -499,6 +499,35 @@ def test_adam_in_pieces_names_the_first_non_finite_gradient_and_changes_nothing(
     assert arena_set.steps == 1
 
 
+@pytest.mark.parametrize("big", [1e154, 1e200])
+def test_adam_steps_on_finite_gradients_whose_squared_sum_overflows(big):
+    # the finite check's g @ g overflows on both; at 1e200 so does each update's
+    # own grad * grad, the same way in the reference
+    ref_set, new_set = _adam_params(0), _adam_params(0)
+    ref, new = ref_set.named, new_set.named
+    rng = np.random.default_rng(5)
+    for (_, a), (_, b) in zip(ref, new):
+        a.grad[...] = rng.standard_normal(a.data.shape)
+        a.grad[..., ::7] = big
+        b.grad[...] = a.grad
+    moments = {}
+    with np.errstate(over="ignore"):
+        reference_adam.adam_step(ref, 0.01, moments)
+        nn.adam_step(new, lr=0.01)
+    for (name, a), (_, b) in zip(ref, new):
+        m, v, _ = moments[a]
+        for x, y in ((a.data, b.data), (m, _arena_row(b, 2)), (v, _arena_row(b, 3))):
+            assert x.tobytes() == y.tobytes(), name
+    assert new_set.steps == 1
+    for _, p in new:
+        p.grad[..., ::7] = big
+    dict(new)["small.w_output"].grad[1, 1] = np.nan
+    before = new_set.arena.tobytes()
+    with pytest.raises(NonFiniteError, match="^non-finite gradient in parameter 'small.w_output'$"):
+        nn.adam_step(new)
+    assert new_set.arena.tobytes() == before and new_set.steps == 1
+
+
 def test_adam_takes_whole_sets_and_the_arena_takes_no_late_declaration():
     params = nn.Parameters(np.random.default_rng(0))
     a = params.new("a", (2,), "uniform")
