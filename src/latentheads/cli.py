@@ -12,10 +12,11 @@ import argparse
 import dataclasses
 import os
 import sys
+from contextlib import nullcontext
 
 from . import decoder, serialize, export as export_mod
 from .conll import (FORMATS, PunctuationRule, build_vocabularies, find_cycles,
-                    output_target, read_conll, read_lines, write_conll)
+                    output_file, read_conll, read_lines, write_conll)
 from .decoder import DependencyTree
 from .errors import DataFormatError, LatentHeadsError, UsageError
 from .evaluation import evaluate
@@ -178,29 +179,26 @@ def _from_args(cls, args, **given):
 
 
 def cmd_train(args) -> int:
-    for path in filter(None, (args.model, args.curve)):  # before training; creates nothing
-        folder = os.path.dirname(path) or "."
-        if not os.path.isdir(folder):
-            raise OSError(f"cannot write {path}: no directory {folder}")
-        if os.path.isdir(path):
-            raise OSError(f"cannot write {path}: not a writable file")
-        output_target(path)  # a write-protected file or folder raises here
-    punct = _punct_rule(args)
-    train_tb = read_conll(args.train, fmt=args.format, punct=punct)
-    dev_tb = read_conll(args.dev, fmt=args.format, punct=punct) if args.dev else None
-    word_vocab, pos_vocab, label_vocab, seen_pairs = build_vocabularies(
-        train_tb, min_count=args.min_count)
-    if not len(label_vocab):
-        raise DataFormatError(f"{args.train}: no token has an arc label (column 8); "
-                              "the labeler needs labeled trees")
-    cfg = _from_args(ModelConfig, args, encoder=_from_args(EncoderConfig, args))
-    model = LhrModel(word_vocab, pos_vocab, label_vocab, seen_pairs, cfg, seed=args.seed)
-    tcfg = _from_args(TrainConfig, args)
-    log = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
-    report = train(model, train_tb, tcfg, dev_tb=dev_tb, log=log)
-    serialize.save_model(model, args.model)
-    if args.curve:
-        report.save_tsv(args.curve)
+    if args.curve and os.path.realpath(args.curve) == os.path.realpath(args.model):
+        raise UsageError(f"--model {args.model} and --curve {args.curve} are one file")
+    curve = output_file(args.curve) if args.curve else nullcontext()
+    with output_file(args.model, binary=True) as model_out, curve as curve_out:
+        punct = _punct_rule(args)
+        train_tb = read_conll(args.train, fmt=args.format, punct=punct)
+        dev_tb = read_conll(args.dev, fmt=args.format, punct=punct) if args.dev else None
+        word_vocab, pos_vocab, label_vocab, seen_pairs = build_vocabularies(
+            train_tb, min_count=args.min_count)
+        if not len(label_vocab):
+            raise DataFormatError(f"{args.train}: no token has an arc label (column 8); "
+                                  "the labeler needs labeled trees")
+        cfg = _from_args(ModelConfig, args, encoder=_from_args(EncoderConfig, args))
+        model = LhrModel(word_vocab, pos_vocab, label_vocab, seen_pairs, cfg, seed=args.seed)
+        tcfg = _from_args(TrainConfig, args)
+        log = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
+        report = train(model, train_tb, tcfg, dev_tb=dev_tb, log=log)
+        serialize.save_model(model, model_out)
+        if args.curve:
+            report.save_tsv(curve_out)
     if report.best_uas is not None:
         print(f"best dev UAS {report.best_uas:.4f} at epoch {report.best_epoch}; "
               f"saved {args.model}")
@@ -213,11 +211,12 @@ def cmd_train(args) -> int:
 def cmd_parse(args) -> int:
     if not args.output and sys.stdout is None:  # started with standard output closed
         raise UsageError("no standard output; give --output FILE")
-    model = serialize.load_model(args.model)
-    tb = read_conll(args.input, fmt=args.format, strict=False)
-    trees = [decoder.parse(model, s, pos_correction=not args.no_pos_correction)
-             for s in tb.sentences]
-    write_conll(tb, trees, args.output if args.output else sys.stdout)
+    with output_file(args.output or sys.stdout) as out:
+        model = serialize.load_model(args.model)
+        tb = read_conll(args.input, fmt=args.format, strict=False)
+        trees = [decoder.parse(model, s, pos_correction=not args.no_pos_correction)
+                 for s in tb.sentences]
+        write_conll(tb, trees, out)
     return 0
 
 

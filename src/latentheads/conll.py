@@ -183,41 +183,36 @@ def read_lines(path: str) -> list[str]:
     return [raw.rstrip("\n") for raw in io.StringIO(text, newline=None)]
 
 
-def output_target(path: str) -> str | None:
-    """The regular file `output_file` renames its temporary onto, or None when
-    it opens `path` directly (a FIFO, a device, a name ending in a slash, which
-    open() rejects and realpath would strip).
+@contextmanager
+def output_file(path, binary: bool = False):
+    """The one opener of outputs, and the one rule for whether and where they
+    go: `path` appears whole or not at all.
 
-    A write-protected file (one this user may not write, or one with no write
-    bit at all, as chmod a-w leaves it) or a directory that cannot take the
-    temporary raises PermissionError naming `path`; nothing is created.
+    A missing directory, a write-protected file (one this user may not write,
+    or one with no write bit at all, as chmod a-w leaves it) or a folder that
+    cannot take the temporary raises naming `path` before anything is created.
+    The temporary, beside the target (a symlink's target), gets open()'s mode
+    or the replaced file's, is renamed over the target when the block ends and
+    is removed on any exception. No fsync: a power loss is not covered. An open
+    stream, or a path that is not a regular file (a FIFO), is written directly;
+    a directory, or a name ending in a slash, which realpath would strip,
+    fails there as open() fails.
     """
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target) or not os.path.basename(path):
-        return None
+    mode, encoding = ("wb", None) if binary else ("w", "utf-8")
+    target = None if hasattr(path, "write") else os.path.realpath(path)
+    if target is None or not os.path.basename(path) or (os.path.exists(target)
+                                                        and not os.path.isfile(target)):
+        with nullcontext(path) if target is None else io.open(path, mode, encoding=encoding) as f:
+            yield f
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise OSError(f"cannot write {path}: no directory {folder}")
     folder = os.path.dirname(target)
     protected = os.path.isfile(target) and not (os.access(target, os.W_OK)
                                                 and os.stat(target).st_mode & 0o222)
     if protected or os.path.isdir(folder) and not os.access(folder, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-    return target
-
-
-@contextmanager
-def output_file(path, binary: bool = False):
-    """The one opener of outputs: `path` appears whole or not at all.
-
-    A temporary file beside the target (a symlink's target) gets open()'s mode
-    or the replaced file's, is renamed over the target when the block ends and
-    is removed on any exception. No fsync: a power loss is not covered. An open
-    stream, or a path that is not a regular file (a FIFO), is written directly.
-    """
-    mode, encoding = ("wb", None) if binary else ("w", "utf-8")
-    target = None if hasattr(path, "write") else output_target(path)
-    if target is None:
-        with nullcontext(path) if hasattr(path, "write") else io.open(path, mode, encoding=encoding) as f:
-            yield f
-        return
     temp = f"{target}.{os.urandom(6).hex()}.tmp"
     try:
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # umask applies

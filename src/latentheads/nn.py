@@ -624,13 +624,15 @@ class BiEncoder:
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 _PIECE = 1 << 14  # elements per Adam piece: a piece of each arena row stays in cache
+_GRAD_LIMIT = math.sqrt(np.finfo(np.float64).max)  # about 1.34e154
 
 
 def adam_step(params: Iterable, lr: float = 0.001) -> None:
     """One Adam update with bias correction; gradients are reset to zero.
 
     `params` yields (name, Parameter) pairs, every member of each set they
-    belong to. A non-finite gradient fails the whole step, naming the first
+    belong to. A non-finite gradient, or a finite entry whose square
+    overflows (above _GRAD_LIMIT), fails the whole step, naming the first
     parameter that holds one, before any value changes. Each set's arena is
     then updated in pieces of _PIECE elements, so a piece of each of its
     four rows stays in cache.
@@ -642,9 +644,12 @@ def adam_step(params: Iterable, lr: float = 0.001) -> None:
     arenas = [owner.ensure_arena() for owner in owners]
     with np.errstate(over="ignore", invalid="ignore"):  # one BLAS pass, no bool array
         finite = all(math.isfinite(arena[1] @ arena[1]) for arena in arenas)
-    bad = [] if finite else [name for name, p in items if not np.all(np.isfinite(p.grad))]
-    if bad:  # none if finite entries above about 1e154 overflowed the product
-        raise NonFiniteError(f"non-finite gradient in parameter {bad[0]!r}")
+    for name, p in [] if finite else items:  # a finite g @ g bounds every entry's square
+        if not np.all(np.abs(p.grad) <= _GRAD_LIMIT):  # NaN fails the comparison too
+            if not np.all(np.isfinite(p.grad)):
+                raise NonFiniteError(f"non-finite gradient in parameter {name!r}")
+            raise NonFiniteError(f"gradient entry too large in parameter {name!r}: "
+                                 f"above {_GRAD_LIMIT:.4g} its square overflows")
     for owner, arena in zip(owners, arenas):
         t = owner.steps = owner.steps + 1
         m_scale, v_scale = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t

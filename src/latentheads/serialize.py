@@ -95,7 +95,7 @@ class _Archive(nn.Parameters):
         return value
 
 
-def save_model(model: LhrModel, path: str) -> None:
+def save_model(model: LhrModel, path) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
         "config": dataclasses.asdict(model.config),
@@ -115,10 +115,10 @@ def save_model(model: LhrModel, path: str) -> None:
 def load_model(path: str) -> LhrModel:
     try:
         with open(path, "rb") as fh:
-            archive = np.load(fh, allow_pickle=False)
-            if not isinstance(archive, np.lib.npyio.NpzFile):
+            if fh.read(4) != b"PK\x03\x04":  # a zip archive's first local file header
                 raise CheckpointError(f"cannot read checkpoint {path}: not an .npz archive")
-            with archive:
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
                 arrays = {name: archive[name] for name in archive.files}
     except (OSError, ValueError, EOFError, MemoryError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc

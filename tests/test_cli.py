@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -214,6 +215,60 @@ def test_train_checks_its_output_paths_before_training(tmp_path, capsys, flag):
                                        f"no directory {missing.parent}\n")
     assert not missing.parent.exists()
     assert kept.read_bytes() == b"an earlier checkpoint"
+
+
+@pytest.mark.parametrize("curve", ["m.npz", "./m.npz", "link.npz"])
+def test_train_refuses_one_file_as_model_and_curve_before_training(tmp_path, monkeypatch,
+                                                                   capsys, curve):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.npz").symlink_to(tmp_path / "m.npz")
+    loud = [arg for arg in FAST if arg != "--quiet"]  # each epoch would be logged
+    assert main(["train", "--train", TRAIN, *loud, "--model", "m.npz", "--curve", curve]) == 2
+    assert capsys.readouterr().err == f"error: --model m.npz and --curve {curve} are one file\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["link.npz"]
+
+
+@pytest.mark.parametrize("end", ["success", "bad-treebank", "interrupt"])
+def test_train_holds_its_outputs_as_temporaries_until_it_ends(tmp_path, monkeypatch, capsys,
+                                                               end):
+    out, bad = tmp_path / "out", tmp_path / "bad.conllu"
+    out.mkdir()
+    bad.write_text("1\tword\n", encoding="utf-8")
+    listed, read_conll, train = [], cli.read_conll, cli.train
+
+    def read_first(*args, **kwargs):  # the first work train does
+        listed.append(sorted(p.name for p in out.iterdir()))
+        return read_conll(*args, **kwargs)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "read_conll", read_first)
+    monkeypatch.setattr(cli, "train", interrupted if end == "interrupt" else train)
+    code = main(["train", "--train", str(bad) if end == "bad-treebank" else TRAIN, *FAST,
+                 "--model", str(out / "m.npz"), "--curve", str(out / "c.tsv")])
+    assert re.fullmatch(r"c\.tsv\.[0-9a-f]{12}\.tmp m\.npz\.[0-9a-f]{12}\.tmp", " ".join(listed[0]))
+    after = sorted(p.name for p in out.iterdir())
+    assert (code, after) == {"success": (0, ["c.tsv", "m.npz"]), "bad-treebank": (1, []),
+                             "interrupt": (130, [])}[end]
+
+
+@pytest.mark.parametrize("case", ["missing-folder", "read-only-file"])
+def test_parse_opens_its_output_before_it_loads_or_parses(tmp_path, monkeypatch, capsys, case):
+    calls, load_model, parse = [], serialize.load_model, decoder.parse
+    monkeypatch.setattr(serialize, "load_model", lambda *a: calls.append("load") or load_model(*a))
+    monkeypatch.setattr(decoder, "parse", lambda *a, **k: calls.append("parse") or parse(*a, **k))
+    kept = tmp_path / "kept.conllu"
+    kept.write_bytes(b"earlier output\n")
+    kept.chmod(0o444)
+    out = tmp_path / "absent" / "o.conllu" if case == "missing-folder" else kept
+    code = main(["parse", "--model", fixture_path("toy_model_v1.npz"), "--input", DEV,
+                 "--output", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, calls) == (1, "", [])
+    assert captured.err == (f"error: cannot write {out}: no directory {out.parent}\n"
+                            if case == "missing-folder"
+                            else f"error: [Errno 13] Permission denied: '{out}'\n")
+    assert kept.read_bytes() == b"earlier output\n" and list(tmp_path.iterdir()) == [kept]
 
 
 def test_train_refuses_a_write_protected_checkpoint_before_training(tmp_path, capsys):

@@ -59,8 +59,9 @@ def test_parameters_are_made_only_by_the_registry():
 
 
 def _writes_around_the_helper(source: str, name: str) -> list[str]:
-    """Calls in `source` that could write an output other than through
-    conll.output_file: an open() whose mode may write, any os.open, or an
+    """Calls in `source` that could write an output, or decide whether one may
+    be written, other than through conll.output_file: an open() whose mode may
+    write, any os.open, os.access, os.replace, os.rename or os.chmod, or an
     np.save* whose file is not a `with output_file(...) as f` name."""
     tree = ast.parse(source)
     helper = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
@@ -85,22 +86,26 @@ def _writes_around_the_helper(source: str, name: str) -> list[str]:
             writes = not (isinstance(first, ast.Name) and first.id in opened)
         else:
             writes = False
-        if writes or (func == "open" and owner == "os"):
+        if writes or owner == "os" and func in ("open", "access", "replace", "rename", "chmod"):
             found.append(f"{name}:{node.lineno}: {ast.unparse(node.func)}")
     return found
 
 
 def test_only_the_output_helper_opens_an_output():
-    # a writer that opens its own path can leave a half-written file behind
+    # a writer that opens its own path can leave a half-written file behind, and
+    # a command that checks a path itself can disagree with the helper's rule
     found = [hit for path in SOURCES
              for hit in _writes_around_the_helper(path.read_text(encoding="utf-8"), path.name)]
     assert found == []
     probe = ("with open(p, 'rb') as f, open(q) as g, output_file(r) as h:\n"
              "    np.savez(h, a=1)\n"
              "io.open(p, 'w'); open(p, mode='ab'); open(p, m); os.open(p, 1)\n"
-             "np.save(p, a); np.savez(f, a=1)\n")
+             "np.save(p, a); np.savez(f, a=1)\n"
+             "os.access(p, 2); os.replace(p, q); os.rename(p, q); os.chmod(p, 0)\n"
+             "os.path.isdir(p); os.stat(p); os.unlink(p)\n")
     assert [hit.partition(": ")[2] for hit in _writes_around_the_helper(probe, "x.py")] == [
-        "io.open", "open", "open", "os.open", "np.save", "np.savez"]
+        "io.open", "open", "open", "os.open", "np.save", "np.savez",
+        "os.access", "os.replace", "os.rename", "os.chmod"]
 
 
 PROBE = """from hypothesis import given, strategies as st

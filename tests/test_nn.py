@@ -501,8 +501,8 @@ def test_adam_in_pieces_names_the_first_non_finite_gradient_and_changes_nothing(
 
 @pytest.mark.parametrize("big", [1e154, 1e200])
 def test_adam_steps_on_finite_gradients_whose_squared_sum_overflows(big):
-    # the finite check's g @ g overflows on both; at 1e200 so does each update's
-    # own grad * grad, the same way in the reference
+    # the finite check's g @ g overflows on both; at 1e200 so would each update's
+    # own grad * grad, leaving that entry's second moment inf, so the step is refused
     ref_set, new_set = _adam_params(0), _adam_params(0)
     ref, new = ref_set.named, new_set.named
     rng = np.random.default_rng(5)
@@ -510,6 +510,13 @@ def test_adam_steps_on_finite_gradients_whose_squared_sum_overflows(big):
         a.grad[...] = rng.standard_normal(a.data.shape)
         a.grad[..., ::7] = big
         b.grad[...] = a.grad
+    if big > 1e154:
+        before = new_set.ensure_arena().tobytes()
+        with pytest.raises(NonFiniteError, match="^gradient entry too large in parameter "
+                                                 f"'{new[0][0]}': above 1.341e\\+154"):
+            nn.adam_step(new, lr=0.01)
+        assert new_set.arena.tobytes() == before and new_set.steps == 0
+        return
     moments = {}
     with np.errstate(over="ignore"):
         reference_adam.adam_step(ref, 0.01, moments)

@@ -356,8 +356,13 @@ def test_truncated_file_raises(model, tmp_path):
 def test_plain_npy_file_raises(tmp_path):
     path = tmp_path / "array.npy"
     np.save(str(path), np.zeros(3))
-    with pytest.raises(CheckpointError, match="not an .npz archive"):
-        serialize.load_model(str(path))
+    empty = tmp_path / "empty.npz"
+    empty.write_bytes(b"")
+    for bad in (str(path), fixture_path("toy_dev.conllu"), str(empty)):
+        # numpy's own errors would advise allow_pickle, or say no data is left
+        with pytest.raises(CheckpointError) as raised:
+            serialize.load_model(bad)
+        assert str(raised.value) == f"cannot read checkpoint {bad}: not an .npz archive"
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
