@@ -132,6 +132,11 @@ def repair_cycles(tree: DependencyTree, scores: ScoreMatrix) -> DependencyTree:
                           arc_scores=arc_scores, needed_repair=bool(cycles))
 
 
+def decode(scores: ScoreMatrix) -> DependencyTree:
+    """The unlabeled tree of a score matrix: root, then heads, then cycle repair."""
+    return repair_cycles(assign_heads(scores, select_root(scores)), scores)
+
+
 def assign_labels_pos(model: LhrModel, enc: EncodedSentence, tree: DependencyTree,
                       sentence: Sentence | None = None,
                       pos_correction: bool = True) -> DependencyTree:
@@ -155,9 +160,5 @@ def parse(model: LhrModel, sentence: Sentence, pos_correction: bool = True) -> D
     """Full pipeline: encode, score, pick root, assign heads, repair, label."""
     with nn.no_grad():
         enc = model.encode_sentence(sentence, training=False)
-        scores = build_scores(enc, model.root_vector)
-        tree = assign_heads(scores, select_root(scores))
-        tree = repair_cycles(tree, scores)
-        tree = assign_labels_pos(model, enc, tree, sentence=sentence,
-                                 pos_correction=pos_correction)
-    return tree
+        tree = decode(build_scores(enc, model.root_vector))
+        return assign_labels_pos(model, enc, tree, sentence=sentence, pos_correction=pos_correction)

@@ -20,6 +20,64 @@ from .model import LhrModel
 
 LSS_FORMATS = ("text", "binary")
 _MAGIC = b"LSS1"
+_BLOCK = 8  # token rows formatted at once, which bounds the formatter's temporaries
+_POW10 = 10.0 ** np.arange(23)  # every power up to 1e22 is exact in float64
+# A value's grid row holds its text in columns 0-23 and its separator at 24.
+# _HEADS[10 * zeros + lead]: columns 0-7 of a value with `zeros` zeros after "0."
+# and first digit `lead`; _QUADS[k]: "%04d" % k; _KEEP[start, end]: the columns
+# kept of a value whose text spans columns start to end - 1
+_COLS = np.arange(32)
+_HEADS = np.frombuffer(b"".join((b"-0." + b"0" * z + b"%d" % d).rjust(8) for z in range(4)
+                                for d in range(10)), dtype=np.uint64)
+_PAIRS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), dtype=np.uint16)
+_QUADS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), axis=2).view(np.uint32).ravel()
+_KEEP = ((_COLS[:, None, None] <= _COLS) & (_COLS < _COLS[:, None]) | (_COLS == 24))
+
+
+def _split(x):
+    """Veltkamp's split: hi + lo == x, each half with at most 26 significant bits."""
+    c = x * 134217729.0  # 2**27 + 1
+    return c - (c - x), x - (c - (c - x))
+
+
+def _scaled(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a * 10**p rounded to an int64, ties to even, for products of 2**53 to 2**62:
+    Dekker's exact product gives hi + lo == a * 10**p, and hi is an even integer."""
+    hi = a * _POW10[p]
+    (ah, al), (bh, bl) = _split(a), _split(_POW10[p])
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _text_lines(m: np.ndarray) -> list[str]:
+    """The rows of `m` as "%.17g" values joined by spaces, byte for byte. 1e-4 <= |x| < 1
+    prints as "0.", up to three zeros and 17 digits less trailing zeros, built here from the
+    17-digit integer; any other value (0, 1, 5e-05, inf, nan) goes through % itself."""
+    x = m.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1.0)
+    a[~fast] = 0.5  # a stand-in the fast path can format; its text is replaced below
+    p = 16 - np.floor(np.log10(a)).astype(np.intp)
+    n = _scaled(a, p)
+    off = (n >= 10**17).astype(np.intp) - (n < 10**16)
+    if off.any():  # log10 was one off, or the rounding carried into an 18th digit
+        p -= off
+        n = _scaled(a, p)
+    grid = np.full((x.size, 32), ord(" "), dtype=np.uint8)
+    zeros = p - 17
+    grid.view(np.uint64)[:, 0] = np.take(_HEADS, 10 * zeros + n // 10**16)
+    for col, unit in zip(range(2, 6), (10**12, 10**8, 10**4, 1)):
+        grid.view(np.uint32)[:, col] = np.take(_QUADS, n // unit % 10**4)
+    start = 5 - zeros - np.signbit(x)
+    end = np.full(x.size, 24)
+    tail = np.flatnonzero(grid[:, 23] == ord("0"))  # trailing zeros are cut
+    end[tail] = 24 - np.argmax(grid[tail, 23:6:-1] != ord("0"), axis=1)
+    for i in np.flatnonzero(~fast):
+        text = np.frombuffer(b"%.17g" % x[i], dtype=np.uint8)
+        grid[i, :text.size], start[i], end[i] = text, 0, text.size
+    grid[m.shape[1] - 1::m.shape[1], 24] = ord("\n")
+    keep = np.take(_KEEP.reshape(-1, 32), 32 * start + end, axis=0)
+    return grid[keep].tobytes().decode("ascii").split("\n")[:-1]
 
 
 def sentence_vectors(model: LhrModel, sentence) -> list[tuple[str, np.ndarray]]:
@@ -34,10 +92,10 @@ def write_lss_text(model: LhrModel, tb: Treebank, path: str) -> None:
         fh.write(f"lss 1 sentences {len(tb.sentences)}\n")
         for k, sent in enumerate(tb.sentences):
             rows = sentence_vectors(model, sent)
-            dim = rows[0][1].shape[0]
-            fh.write(f"sentence {k} tokens {len(rows)} dim {dim}\n")
-            line = "%s\t" + " ".join(["%.17g"] * dim) + "\n"
-            fh.writelines(line % (form, *vec.tolist()) for form, vec in rows)
+            fh.write(f"sentence {k} tokens {len(rows)} dim {rows[0][1].shape[0]}\n")
+            for b in range(0, len(rows), _BLOCK):
+                lines = _text_lines(np.stack([vec for _, vec in rows[b:b + _BLOCK]]))
+                fh.writelines(f"{form}\t{line}\n" for (form, _), line in zip(rows[b:], lines))
 
 
 def read_lss_text(path: str) -> list[list[tuple[str, np.ndarray]]]:

@@ -17,7 +17,7 @@ import pytest
 
 from latentheads import conll, decoder, serialize, trainer
 from latentheads.conll import Sentence, Token, Treebank
-from latentheads.decoder import ScoreMatrix, assign_heads, repair_cycles, select_root
+from latentheads.decoder import ScoreMatrix, assign_heads, decode, repair_cycles, select_root
 from latentheads.evaluation import evaluate
 from latentheads.trainer import TrainConfig, train
 
@@ -324,7 +324,7 @@ def test_nonprojective_witness():
     sim[1][3] = 0.9
     sim[3][2] = 0.9
     scores = ScoreMatrix(sim=sim, root_sim=np.array([0.1, 0.1, 0.9, 0.1]))
-    tree = repair_cycles(assign_heads(scores, select_root(scores)), scores)
+    tree = decode(scores)
     tree.validate()
     ok = (tree.heads == [3, 4, 0, 3] and has_crossing(tree.heads)
           and tree.needed_repair is False)

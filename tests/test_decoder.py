@@ -7,7 +7,7 @@ import pytest
 
 from latentheads import decoder, nn
 from latentheads.decoder import (DependencyTree, ScoreMatrix, assign_heads,
-                                 assign_labels_pos, build_scores, parse,
+                                 assign_labels_pos, build_scores, decode, parse,
                                  repair_cycles, select_root)
 from latentheads.errors import InvalidInputError
 from latentheads.conll import build_vocabularies, find_cycles
@@ -244,7 +244,7 @@ def test_repair_random_matrices_always_yield_trees():
         sim = rng.uniform(-1, 1, size=(n, n))
         root_sim = rng.uniform(-1, 1, size=n)
         sm = scores_from(sim, root_sim)
-        tree = repair_cycles(assign_heads(sm, select_root(sm)), sm)
+        tree = decode(sm)
         tree.validate()
 
 

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latentheads import decoder, export, nn, serialize
 from latentheads.conll import Sentence, Treebank, read_conll, write_conll
@@ -14,7 +15,7 @@ from latentheads.errors import DataFormatError, InvalidInputError
 from latentheads.model import EncodedSentence
 from latentheads.trainer import EpochRecord, TrainReport
 
-from lhr_testutil import fixture_path, make_treebank, tiny_model
+from lhr_testutil import fixture_path, make_sentence, make_treebank, tiny_model
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,74 @@ def test_both_formats_write_the_bytes_of_a_per_field_reference(tmp_path):
     assert (tmp_path / "dev.bin").read_bytes() == b"".join(binary)
 
 
+def percent_lines(m):
+    """The reference for the text writer's numbers: one % call per value."""
+    return [b" ".join(b"%.17g" % v for v in row).decode("ascii") for row in m]
+
+
+def assert_formats_like_percent(values, width=64):
+    values = np.asarray(values, dtype=np.float64).ravel()
+    m = np.resize(values, (-(-values.size // width), width))  # the tail repeats the head
+    assert export._text_lines(m) == percent_lines(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=50))
+def test_formatter_writes_the_bytes_of_percent_for_any_float(values):
+    # st.floats() draws nan, inf, subnormals and -0.0 as well
+    assert_formats_like_percent(values, width=len(values))
+
+
+def test_formatter_writes_the_bytes_of_percent_on_random_bit_patterns():
+    rng = np.random.default_rng(23)
+    assert_formats_like_percent(rng.integers(0, 2**64, 60000, dtype=np.uint64).view(np.float64))
+    assert_formats_like_percent(rng.uniform(-1, 1, 60000) * 10.0 ** rng.integers(-6, 2, 60000))
+
+
+def test_formatter_writes_the_bytes_of_percent_next_to_powers_of_ten():
+    powers = np.array([float(f"1e{k}") for k in range(-6, 18)])
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    # log10 of the float below 0.1 is exactly -1, one decade too high for its digits
+    assert np.log10(np.nextafter(0.1, 0)) == -1.0
+    edges = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1.0, np.nextafter(1.0, 0)]
+    assert_formats_like_percent(np.concatenate([values, edges, -values, np.negative(edges)]))
+
+
+def test_formatter_rounds_exact_ties_to_even_as_percent_does():
+    # odd j over 2**(18 + d) has 18 + d decimals, the last a 5; in the decade
+    # [10**-(d + 1), 10**-d) that 5 is the 18th significant digit, an exact tie
+    rng = np.random.default_rng(5)
+    ties = []
+    for d in range(4):
+        first, last = 2**(18 + d) // 10**(d + 1) // 2, 2**(18 + d) // 10**d // 2
+        ties.append((2 * rng.integers(first, last, 5000) + 1) / 2.0**(18 + d))
+    assert all(("%.18e" % v)[18:20] == "50" for v in ties[0])  # 18th digit 5, 19th 0
+    assert_formats_like_percent(np.concatenate(ties + [-t for t in ties]))
+
+
+def test_text_writer_sends_values_outside_the_fast_range_through_percent(model, tmp_path,
+                                                                         monkeypatch):
+    special = np.array([0.0, -0.0, 1.0, -1.0, 5e-5, 1e-300, 3.0, 0.25, -0.123456789])
+    latent_structure = model.latent_structure
+
+    def with_specials(enc):
+        rows = latent_structure(enc)
+        rows[:, :special.size] = special
+        rows[:, -1] = np.resize(special, rows.shape[0])  # a fallback ends each line
+        return rows
+    monkeypatch.setattr(model, "latent_structure", with_specials)
+    tb = Treebank([make_sentence(2 * export._BLOCK + 3, np.random.default_rng(4))])
+    rows = export.sentence_vectors(model, tb.sentences[0])
+    text = f"lss 1 sentences 1\nsentence 0 tokens {len(rows)} dim {len(rows[0][1])}\n"
+    text += "".join(form + "\t" + " ".join("%.17g" % v for v in vec) + "\n" for form, vec in rows)
+    path = tmp_path / "special.lss"
+    export.export_lss(model, tb, str(path), fmt="text")
+    assert path.read_bytes() == text.encode("utf-8")
+    for (form, vec), (form2, vec2) in zip(export.read_lss_text(str(path))[0], rows):
+        assert form == form2
+        assert vec.view(np.uint64).tolist() == vec2.view(np.uint64).tolist()
+
+
 @pytest.mark.parametrize("fmt", export.LSS_FORMATS)
 def test_the_exported_structure_decodes_to_the_parse(fmt, tmp_path):
     # the exported [c; h] rows and the checkpoint's root vector are all a
@@ -104,8 +173,7 @@ def test_the_exported_structure_decodes_to_the_parse(fmt, tmp_path):
         lhr = np.stack([vec for _, vec in rows])
         enc = EncodedSentence(nn.Tensor(lhr[:, :size]), nn.Tensor(lhr[:, size:]))
         scores = decoder.build_scores(enc, model.root_vector)
-        tree = decoder.repair_cycles(decoder.assign_heads(scores, decoder.select_root(scores)),
-                                     scores)
+        tree = decoder.decode(scores)
         parsed = decoder.parse(model, sentence)
         assert tree.heads == parsed.heads
         assert np.array(tree.arc_scores).tobytes() == np.array(parsed.arc_scores).tobytes()
