@@ -240,9 +240,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export(args) -> int:
-    model = serialize.load_model(args.model)
-    tb = read_conll(args.input, fmt=args.format, strict=False)
-    export_mod.export_lss(model, tb, args.output, fmt=args.lss_format)
+    with output_file(args.output, binary=args.lss_format == "binary") as out:
+        model = serialize.load_model(args.model)
+        tb = read_conll(args.input, fmt=args.format, strict=False)
+        export_mod.export_lss(model, tb, out, fmt=args.lss_format)
     print(f"wrote {args.lss_format} latent structure for {len(tb.sentences)} "
           f"sentences to {args.output}", file=sys.stderr)
     return 0

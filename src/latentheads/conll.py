@@ -171,10 +171,11 @@ def tree_problem(heads: Sequence[int | None], whole: bool = True) -> str | None:
 def read_lines(path: str) -> list[str]:
     """A UTF-8 file's lines without line ends, split as text mode splits them.
 
-    Bytes that are not UTF-8 raise DataFormatError naming the file and line.
+    A leading byte-order mark is dropped. Bytes that are not UTF-8 raise
+    DataFormatError naming the file and line.
     """
-    with io.open(path, "rb") as f:
-        raw_bytes = f.read()
+    with io.open(path, "rb") as f:  # the mark goes here: utf-8-sig's error offsets skip it
+        raw_bytes = f.read().removeprefix(b"\xef\xbb\xbf")
     try:
         text = raw_bytes.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -102,7 +102,8 @@ class LhrModel:
 
     def governor_vectors(self, context_vectors: nn.Tensor, heads) -> nn.Tensor:
         """Row i: the context vector of head heads[i] (1-based), the root vector for 0."""
-        return nn.stack_rows((self.root_vector[None], context_vectors))[np.asarray(heads, dtype=np.intp)]
+        table = nn.concat((self.root_vector[None], context_vectors), axis=0)
+        return table[np.asarray(heads, dtype=np.intp)]
 
     def score_label_pos(self, dependent_c: nn.Tensor,
                         governor_c_or_root: nn.Tensor) -> tuple[nn.Tensor, nn.Tensor]:

@@ -174,10 +174,6 @@ def _acc(t: Tensor, g: np.ndarray, own: bool = False) -> None:
         t.grad += g
 
 
-def constant(data) -> Tensor:
-    return Tensor(data)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ConfigurationError(f"add: shape mismatch {a.shape} vs {b.shape}")
@@ -207,36 +203,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(x.data @ w.data.T + b.data, (x, w, b), bw)
 
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Join along the last axis: vectors end to end, matrices side by side."""
-    if not parts:
-        raise InvalidInputError("concat of an empty sequence")
-
-    def bw(g):
-        off = 0
-        for p in parts:
-            n = p.data.shape[-1]
-            if p.needs_grad:
-                _acc(p, g[..., off:off + n])
-            off += n
-
-    return _record(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), bw)
-
-
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack matrices on top of each other."""
+def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
+    """Join matrices along `axis`: side by side (-1) or on top of each other (0)."""
     if not parts or any(p.data.ndim != 2 for p in parts):
-        raise InvalidInputError("stack_rows expects a non-empty sequence of matrices")
+        raise InvalidInputError("concat expects a non-empty sequence of matrices")
 
     def bw(g):
-        off = 0
-        for p in parts:
-            n = len(p.data)
+        ends = np.cumsum([p.data.shape[axis] for p in parts[:-1]])
+        for p, piece in zip(parts, np.split(g, ends, axis=axis)):
             if p.needs_grad:
-                _acc(p, g[off:off + n])
-            off += n
+                _acc(p, piece)
 
-    return _record(np.vstack([p.data for p in parts]), tuple(parts), bw)
+    return _record(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bw)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -403,10 +381,11 @@ class Parameters:
         self.named.append((name, p))
         return p
 
-    def stack(self, members: Sequence[Parameter], order: str = "C") -> Stack:
-        """Copy `members` into the row blocks of one new array, each `data` a view of its rows."""
+    def stack(self, members: Sequence[Parameter]) -> Stack:
+        """Copy `members` into the row blocks of one new column-major array, each `data`
+        a view of its rows."""
         rows = sum(len(p.data) for p in members)
-        stack = Stack(np.empty((rows,) + members[0].data.shape[1:], order=order))
+        stack = Stack(np.empty((rows,) + members[0].data.shape[1:], order="F"))
         start = 0
         for p in members:
             block = slice(start, start + len(p.data))
@@ -450,7 +429,6 @@ class DenseLayer:
         if activation not in _ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {activation!r}")
         self.in_size = in_size
-        self.out_size = out_size
         self.activation = activation
         self.params = params
         self.weights = params.new(prefix + "weights", (out_size, in_size), "glorot")
@@ -495,7 +473,7 @@ class LstmCell:
                   params.new(f"{prefix}b_{gate}", (h,), "ones" if gate == "forget" else "zeros"))
                  for gate in self.GATES]
         self.gates = gates
-        self.stacks = (params.stack([w for w, _ in gates], order="F"),
+        self.stacks = (params.stack([w for w, _ in gates]),
                        params.stack([b for _, b in gates]))
         self._written = -1  # the Adam step whose gradient backprop last wrote
         for gate, (w, b) in zip(self.GATES, gates):

@@ -78,7 +78,7 @@ class CharEncoder:
         h = self.char_birnn.hidden_size
         states = [self.char_birnn.encode(self.char_table.lookup(word)) for word in words]
         finals = [nn.concat((s[-1:, :h], s[:1, h:])) for s in states]
-        return self.projection(nn.stack_rows(finals))
+        return self.projection(nn.concat(finals, axis=0))
 
 
 def char_vocab_from_words(word_vocab: Vocabulary) -> Vocabulary:

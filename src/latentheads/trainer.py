@@ -99,12 +99,12 @@ def reconstruction_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentenc
     term_loss = nn.mse_loss if cfg.loss == "mse" else nn.mae_loss
     rows, target, live = _reconstruction_targets(model, sentence, enc, cfg)
     if not rows.size:
-        return nn.constant(0.0)
+        return nn.Tensor(0.0)
     target = target if target_overrides is None else target_overrides
     if np.any(live >= 0):
         # rows past len(rows) of the table are the live context vectors
         index = np.where(live >= 0, len(rows) + live, np.arange(len(rows)))
-        target = nn.stack_rows((nn.constant(target), enc.context_vectors))[index]
+        target = nn.concat((nn.Tensor(target), enc.context_vectors), axis=0)[index]
     return term_loss(enc.latent_heads[rows], target)
 
 

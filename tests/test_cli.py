@@ -271,6 +271,35 @@ def test_parse_opens_its_output_before_it_loads_or_parses(tmp_path, monkeypatch,
     assert kept.read_bytes() == b"earlier output\n" and list(tmp_path.iterdir()) == [kept]
 
 
+@pytest.mark.parametrize("case", ["missing-folder", "read-only-file"])
+def test_export_opens_its_output_before_it_loads_or_reads(tmp_path, monkeypatch, capsys, case):
+    calls, load_model, read = [], serialize.load_model, cli.read_conll
+    monkeypatch.setattr(serialize, "load_model", lambda *a: calls.append("load") or load_model(*a))
+    monkeypatch.setattr(cli, "read_conll", lambda *a, **k: calls.append("read") or read(*a, **k))
+    kept = tmp_path / "kept.lss"
+    kept.write_bytes(b"earlier output\n")
+    kept.chmod(0o444)
+    out = tmp_path / "absent" / "o.lss" if case == "missing-folder" else kept
+    code = main(["export-lss", "--model", fixture_path("toy_model_v1.npz"), "--input", DEV,
+                 "--output", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, calls) == (1, "", [])
+    assert captured.err == (f"error: cannot write {out}: no directory {out.parent}\n"
+                            if case == "missing-folder"
+                            else f"error: [Errno 13] Permission denied: '{out}'\n")
+    assert kept.read_bytes() == b"earlier output\n" and list(tmp_path.iterdir()) == [kept]
+
+
+def test_parse_reads_past_a_byte_order_mark(tmp_path, capsysbinary):
+    marked = tmp_path / "bom.conllu"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(DEV).read_bytes())
+    outputs = []
+    for path in (DEV, str(marked)):
+        assert main(["parse", "--model", fixture_path("toy_model_v1.npz"), "--input", path]) == 0
+        outputs.append(capsysbinary.readouterr().out)
+    assert outputs[0] and outputs[1] == outputs[0]
+
+
 def test_train_refuses_a_write_protected_checkpoint_before_training(tmp_path, capsys):
     kept = tmp_path / "kept.npz"
     kept.write_bytes(b"an earlier checkpoint")

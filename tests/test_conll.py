@@ -260,6 +260,16 @@ def test_non_utf8_treebank_reports_file_and_line(tmp_path):
         read_conll(path)
 
 
+def test_a_bad_byte_after_a_byte_order_mark_names_its_own_line(tmp_path):
+    # the bad byte opens line 8, so an offset that left out the mark would name line 7
+    lines = Path(fixture_path("toy_dev.conllu")).read_bytes().split(b"\n")
+    lines[7] = b"\xff" + lines[7]
+    path = tmp_path / "bom.conllu"
+    path.write_bytes(b"\xef\xbb\xbf" + b"\n".join(lines))
+    with pytest.raises(DataFormatError, match=f"^{path}:8: not valid UTF-8"):
+        read_conll(str(path))
+
+
 def test_windows_and_old_mac_line_ends_read_alike(tmp_path):
     unix = read_conll(write_file(tmp_path, TWO_TOKENS + "\n" + TWO_TOKENS))
     for ending in ("\r\n", "\r"):

@@ -52,7 +52,8 @@ VECTOR_CALLS = [
     ("linear", lambda v: nn.linear(v, tensor(np.ones((2, 3))), tensor(np.zeros(2)))),
     ("DenseLayer", lambda v: nn.DenseLayer(3, 2, "identity",
                                            nn.Parameters(np.random.default_rng(0)))(v)),
-    ("stack_rows", lambda v: nn.stack_rows([v, tensor(np.ones((2, 3)))])),
+    ("concat", lambda v: nn.concat([v, tensor(np.ones((1, 2)))])),
+    ("concat_axis0", lambda v: nn.concat([v, tensor(np.ones((2, 3)))], axis=0)),
     ("margin_loss", lambda v: nn.margin_loss(v, 0)),
     ("nll_loss", lambda v: nn.nll_loss(v, 0)),
 ]
@@ -261,7 +262,7 @@ RECORDING_OPS = [
     ("add", nn.add, [(2, 3), (2, 3)]),
     ("linear", nn.linear, [(2, 3), (4, 3), (4,)]),
     ("concat", lambda a, b: nn.concat([a, b]), [(2, 3), (2, 1)]),
-    ("stack_rows", lambda a, b: nn.stack_rows([a, b]), [(1, 3), (2, 3)]),
+    ("concat_axis0", lambda a, b: nn.concat([a, b], axis=0), [(1, 3), (2, 3)]),
     ("tanh", nn.tanh, [(2, 3)]),
     ("softmax", nn.softmax, [(2, 3)]),
     ("scale", lambda x: nn.scale(x, 0.5), [(2, 3)]),
@@ -659,7 +660,7 @@ def test_matrix_chain_matches_finite_differences():
 
     def forward():
         rows = table[index]
-        governors = nn.stack_rows((root[None], rows))[np.array([0, 1, 1, 4, 2])]
+        governors = nn.concat((root[None], rows), axis=0)[np.array([0, 1, 1, 4, 2])]
         probs = layer(nn.concat((rows, governors)))
         return nn.add(nn.nll_loss(probs, [0, 4, 2, 2, 1]),
                       nn.margin_loss(probs, [1, 1, 0, 3, 4]))
