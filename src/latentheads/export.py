@@ -87,7 +87,7 @@ def sentence_vectors(model: LhrModel, sentence) -> list[tuple[str, np.ndarray]]:
     return [(tok.form, row) for tok, row in zip(sentence.tokens, rows)]
 
 
-def write_lss_text(model: LhrModel, tb: Treebank, path: str) -> None:
+def write_lss_text(model: LhrModel, tb: Treebank, path) -> None:
     with output_file(path) as fh:
         fh.write(f"lss 1 sentences {len(tb.sentences)}\n")
         for k, sent in enumerate(tb.sentences):
@@ -142,7 +142,7 @@ def read_lss_text(path: str) -> list[list[tuple[str, np.ndarray]]]:
     return out
 
 
-def write_lss_binary(model: LhrModel, tb: Treebank, path: str) -> None:
+def write_lss_binary(model: LhrModel, tb: Treebank, path) -> None:
     with output_file(path, binary=True) as fh:
         fh.write(_MAGIC + struct.pack("<I", len(tb.sentences)))
         for k, sent in enumerate(tb.sentences):
@@ -193,7 +193,7 @@ def read_lss_binary(path: str) -> list[list[tuple[str, np.ndarray]]]:
     return out
 
 
-def export_lss(model: LhrModel, tb: Treebank, path: str, fmt: str = "text") -> None:
+def export_lss(model: LhrModel, tb: Treebank, path, fmt: str = "text") -> None:
     if not tb.sentences:
         raise InvalidInputError("nothing to export: treebank is empty")
     if fmt == "text":
