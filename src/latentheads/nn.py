@@ -613,7 +613,8 @@ def adam_step(params: Iterable, lr: float = 0.001) -> None:
     overflows (above _GRAD_LIMIT), fails the whole step, naming the first
     parameter that holds one, before any value changes. Each set's arena is
     then updated in pieces of _PIECE elements, so a piece of each of its
-    four rows stays in cache.
+    four rows stays in cache. Kingma & Ba's folded form (arXiv:1412.6980, after
+    Algorithm 1) puts both bias corrections in `step` and `eps`: one division.
     """
     items = list(params)
     owners = list(dict.fromkeys(p.owner for _, p in items))
@@ -630,12 +631,13 @@ def adam_step(params: Iterable, lr: float = 0.001) -> None:
                                  f"above {_GRAD_LIMIT:.4g} its square overflows")
     for owner, arena in zip(owners, arenas):
         t = owner.steps = owner.steps + 1
-        m_scale, v_scale = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+        v_root = math.sqrt(1.0 - ADAM_BETA2 ** t)
+        step, eps = lr * v_root / (1.0 - ADAM_BETA1 ** t), ADAM_EPSILON * v_root
         for start in range(0, arena.shape[1], _PIECE):
             data, grad, m, v = arena[:, start:start + _PIECE]
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * grad
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * (grad * grad)
-            data -= lr * (m / m_scale) / (np.sqrt(v / v_scale) + ADAM_EPSILON)
+            data -= step * m / (np.sqrt(v) + eps)
             grad[...] = 0.0

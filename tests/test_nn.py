@@ -15,6 +15,7 @@ from latentheads.model import EncodedSentence
 
 from lhr_testutil import fd_gradient, make_treebank, max_relative_error, tiny_model
 import reference_adam
+from test_reference import assert_close
 
 
 def tensor(values):
@@ -462,7 +463,7 @@ def _random_grads(seed: int):
         yield
 
 
-def test_adam_in_pieces_leaves_the_bytes_of_the_whole_array_update():
+def test_folded_adam_in_pieces_matches_the_textbook_update_within_1e_10():
     sizes = []
     for steps in (_random_grads, _char_model_steps):
         ref_steps, new_steps = steps(1), steps(1)
@@ -474,8 +475,12 @@ def test_adam_in_pieces_leaves_the_bytes_of_the_whole_array_update():
             nn.adam_step(new, lr=0.01)
         for (name, a), (_, b) in zip(ref, new):
             m, v, t = moments[a]
-            for x, y in ((a.data, b.data), (m, _arena_row(b, 2)), (v, _arena_row(b, 3))):
-                assert x.tobytes() == y.tobytes(), name
+            assert_close(b.data, a.data, name)
+            for x, y in ((m, _arena_row(b, 2)), (v, _arena_row(b, 3))):
+                if steps is _random_grads:  # the same gradients on both sides
+                    assert x.tobytes() == y.tobytes(), name
+                else:  # the char model's gradients follow its weights
+                    assert_close(y, x, name)
             assert t == 30 and not b.grad.any()
         assert new[0][1].owner.steps == 30
     assert any(size > nn._PIECE and size % nn._PIECE for size in sizes)  # a last short piece
@@ -524,7 +529,8 @@ def test_adam_steps_on_finite_gradients_whose_squared_sum_overflows(big):
         nn.adam_step(new, lr=0.01)
     for (name, a), (_, b) in zip(ref, new):
         m, v, _ = moments[a]
-        for x, y in ((a.data, b.data), (m, _arena_row(b, 2)), (v, _arena_row(b, 3))):
+        assert_close(b.data, a.data, name)
+        for x, y in ((m, _arena_row(b, 2)), (v, _arena_row(b, 3))):
             assert x.tobytes() == y.tobytes(), name
     assert new_set.steps == 1
     for _, p in new:
@@ -534,6 +540,42 @@ def test_adam_steps_on_finite_gradients_whose_squared_sum_overflows(big):
     with pytest.raises(NonFiniteError, match="^non-finite gradient in parameter 'small.w_output'$"):
         nn.adam_step(new)
     assert new_set.arena.tobytes() == before and new_set.steps == 1
+
+
+@pytest.mark.parametrize("start", [0, 355, 37411, 10**6])
+def test_folded_adam_at_step_counts_where_the_bias_corrections_are_edge_cases(start):
+    # 1 - 0.9**t rounds to 1.0 from t = 356 and 1 - 0.999**t from t = 37,412, where
+    # the folded scalars are exactly lr and epsilon; entries run down to 1e-11, where
+    # sqrt(v) is near epsilon, so an unscaled epsilon moves the weights at t = 1
+    ref_set, new_set = _adam_params(0), _adam_params(0)
+    ref, new = ref_set.named, new_set.named
+    new_set.ensure_arena()
+    new_set.steps = start
+    rng = np.random.default_rng(6)
+
+    def draw(shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-11.0, 0.0, shape)
+
+    moments = {}
+    for (_, a), (_, b) in zip(ref, new):
+        m, v = draw(a.data.shape), draw(a.data.shape) ** 2
+        moments[a] = [m, v, start]
+        _arena_row(b, 2)[...] = m
+        _arena_row(b, 3)[...] = v
+    for _ in range(3):
+        for (_, a), (_, b) in zip(ref, new):
+            a.grad[...] = b.grad[...] = draw(a.data.shape)
+        reference_adam.adam_step(ref, 0.01, moments)
+        nn.adam_step(new, lr=0.01)
+        for (name, a), (_, b) in zip(ref, new):
+            m, v, _ = moments[a]
+            for x, y in ((m, _arena_row(b, 2)), (v, _arena_row(b, 3))):
+                assert x.tobytes() == y.tobytes(), name
+            if start >= 37411:
+                assert a.data.tobytes() == b.data.tobytes(), name
+            else:
+                assert_close(b.data, a.data, name)
+    assert new_set.steps == start + 3
 
 
 def test_adam_takes_whole_sets_and_the_arena_takes_no_late_declaration():
