@@ -18,7 +18,7 @@ from . import decoder, serialize, export as export_mod
 from .conll import (FORMATS, PunctuationRule, build_vocabularies, find_cycles,
                     output_file, read_conll, read_lines, write_conll)
 from .decoder import DependencyTree
-from .errors import DataFormatError, LatentHeadsError, UsageError
+from .errors import DataFormatError, InvalidInputError, LatentHeadsError, UsageError
 from .evaluation import evaluate
 from .model import LhrModel, ModelConfig
 from .tokens import MODES, EncoderConfig
@@ -81,8 +81,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                     help="word dropout strength alpha/(count+alpha)")
     tr.add_argument("--min-count", type=int, default=1,
                     help="words rarer than this map to the unknown embedding")
-    tr.add_argument("--no-labeler", dest="use_labeler", action="store_false",
-                    help="train the reconstruction objective alone")
+    tr.add_argument("--no-labeler", action="store_true",
+                    help="train the reconstruction objective alone (--labeler-weight 0)")
     tr.add_argument("--labeler-weight", type=float, default=TrainConfig.labeler_weight)
     tr.add_argument("--labeler-softmax", action="store_true",
                     help="cross-entropy classifier outputs instead of hinge")
@@ -193,7 +193,8 @@ def cmd_train(args) -> int:
                                   "the labeler needs labeled trees")
         cfg = _from_args(ModelConfig, args, encoder=_from_args(EncoderConfig, args))
         model = LhrModel(word_vocab, pos_vocab, label_vocab, seen_pairs, cfg, seed=args.seed)
-        tcfg = _from_args(TrainConfig, args)
+        tcfg = _from_args(TrainConfig, args,
+                          labeler_weight=0.0 if args.no_labeler else args.labeler_weight)
         log = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
         report = train(model, train_tb, tcfg, dev_tb=dev_tb, log=log)
         serialize.save_model(model, model_out)
@@ -227,6 +228,10 @@ def cmd_eval(args) -> int:
     if len(pred.sentences) != len(gold.sentences):
         raise UsageError(f"{args.pred} has {len(pred.sentences)} sentences, "
                          f"{args.gold} has {len(gold.sentences)}")
+    for g, p in zip(gold.sentences, pred.sentences):
+        if len(p.tokens) != len(g.tokens):
+            raise InvalidInputError(f"{g.origin}: tree has {len(p.tokens)} tokens, sentence "
+                                    f"has {len(g.tokens)}; the tree is {p.origin}")
     trees = [DependencyTree(  # a `_` head ends its chain as the root does
         heads=[t.gold_head for t in sent.tokens],
         labels=[t.gold_label for t in sent.tokens],

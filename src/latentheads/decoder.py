@@ -9,7 +9,7 @@ decoding is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,8 +128,7 @@ def repair_cycles(tree: DependencyTree, scores: ScoreMatrix) -> DependencyTree:
         heads[dep - 1] = best + 1
         arc_scores[dep - 1] = float(row[best])
         ends[inside] = ends[best]
-    return DependencyTree(heads=heads, labels=list(tree.labels), pos=list(tree.pos),
-                          arc_scores=arc_scores, needed_repair=bool(cycles))
+    return replace(tree, heads=heads, arc_scores=arc_scores, needed_repair=bool(cycles))
 
 
 def decode(scores: ScoreMatrix) -> DependencyTree:
@@ -137,28 +136,21 @@ def decode(scores: ScoreMatrix) -> DependencyTree:
     return repair_cycles(assign_heads(scores, select_root(scores)), scores)
 
 
-def assign_labels_pos(model: LhrModel, enc: EncodedSentence, tree: DependencyTree,
-                      sentence: Sentence | None = None,
-                      pos_correction: bool = True) -> DependencyTree:
+def assign_labels_pos(model: LhrModel, enc: EncodedSentence,
+                      tree: DependencyTree) -> DependencyTree:
     """Pick, per token, the (label, POS) pair seen in training that maximizes
-    the summed classifier scores for its (dependent, governor) arc.
-
-    With pos_correction off, the externally predicted tag is kept in the
-    output instead of the labeler's choice.
-    """
+    the summed classifier scores for its (dependent, governor) arc."""
     pairs = model.best_pairs(enc.context_vectors, tree.heads)
-    pos_tags = [pos for _, pos in pairs]
-    if not pos_correction and sentence is not None:
-        pos_tags = [pos if tok.predicted_pos is None else tok.predicted_pos
-                    for tok, pos in zip(sentence.tokens, pos_tags, strict=True)]
-    return DependencyTree(heads=list(tree.heads), labels=[label for label, _ in pairs],
-                          pos=pos_tags, arc_scores=list(tree.arc_scores),
-                          needed_repair=tree.needed_repair)
+    return replace(tree, labels=[label for label, _ in pairs], pos=[pos for _, pos in pairs])
 
 
 def parse(model: LhrModel, sentence: Sentence, pos_correction: bool = True) -> DependencyTree:
-    """Full pipeline: encode, score, pick root, assign heads, repair, label."""
+    """Full pipeline: encode, score, pick root, assign heads, repair, label;
+    without pos_correction a token keeps its externally predicted tag, if any."""
     with nn.no_grad():
         enc = model.encode_sentence(sentence, training=False)
-        tree = decode(build_scores(enc, model.root_vector))
-        return assign_labels_pos(model, enc, tree, sentence=sentence, pos_correction=pos_correction)
+        tree = assign_labels_pos(model, enc, decode(build_scores(enc, model.root_vector)))
+    if not pos_correction:
+        tree.pos = [pos if tok.predicted_pos is None else tok.predicted_pos
+                    for tok, pos in zip(sentence.tokens, tree.pos, strict=True)]
+    return tree

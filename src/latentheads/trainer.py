@@ -29,7 +29,6 @@ class TrainConfig:
     epochs: int = 20
     lr: float = 0.001
     loss: str = "mse"
-    use_labeler: bool = True
     labeler_weight: float = 1.0
     root_target: str = "root_vector"
     rebalance_targets: bool = False
@@ -76,9 +75,9 @@ def _reconstruction_targets(model: LhrModel, sentence: Sentence, enc: EncodedSen
     heads = _gold_heads(sentence)
     rows = np.flatnonzero([not (cfg.skip_punct_heads and tok.is_punct) for tok in sentence.tokens])
     kept = heads[rows]
-    # row 0 of the table is the root vector, row g the context vector of token g
-    table = np.vstack((model.root_vector.data, enc.context_vectors.data))
-    target = table[np.where(kept == 0, rows + 1, kept) if cfg.root_target == "self" else kept]
+    index = np.where(kept == 0, rows + 1, kept) if cfg.root_target == "self" else kept
+    with nn.no_grad():
+        target = model.governor_vectors(enc.context_vectors, index).data
     return rows, target, kept - 1 if cfg.rebalance_targets else np.full_like(rows, -1)
 
 
@@ -119,14 +118,8 @@ def capture_targets(model: LhrModel, sentence: Sentence, enc: EncodedSentence,
     return _reconstruction_targets(model, sentence, enc, cfg)[1].copy()
 
 
-def labeler_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentence) -> nn.Tensor:
-    """Mean per-token classification loss over the gold arcs.
-
-    Hinge loss on raw scores, or negative log likelihood when the model was
-    built with softmax outputs. Governor context vectors stay live here, so
-    this loss reaches the context encoder and the root vector.
-    """
-    heads = _gold_heads(sentence)
+def _gold_label_pos(model: LhrModel, sentence: Sentence) -> tuple[list[int], list[int]]:
+    """Every token's gold label and POS row; InvalidInputError for a missing or unknown label."""
     where = f"{sentence.origin}: " if sentence.origin else ""
     label_gold, pos_gold = [], []
     for tok in sentence.tokens:
@@ -141,6 +134,18 @@ def labeler_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentence) -> n
                 "in the model's label inventory")
         label_gold.append(li)
         pos_gold.append(model.pos_vocab.index_of(tok.gold_pos))
+    return label_gold, pos_gold
+
+
+def labeler_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentence) -> nn.Tensor:
+    """Mean per-token classification loss over the gold arcs.
+
+    Hinge loss on raw scores, or negative log likelihood when the model was
+    built with softmax outputs. Governor context vectors stay live here, so
+    this loss reaches the context encoder and the root vector.
+    """
+    heads = _gold_heads(sentence)
+    label_gold, pos_gold = _gold_label_pos(model, sentence)
     context = enc.context_vectors
     label_scores, pos_scores = model.score_label_pos(
         context, model.governor_vectors(context, heads))
@@ -156,12 +161,10 @@ def sentence_loss(model: LhrModel, sentence: Sentence, cfg: TrainConfig,
     recon = reconstruction_loss(model, sentence, enc, cfg, target_overrides)
     parts = {"reconstruction": float(recon.data)}
     total = recon
-    if cfg.use_labeler and cfg.labeler_weight > 0:
+    if cfg.labeler_weight > 0:
         lab = labeler_loss(model, sentence, enc)
         parts["labeler"] = float(lab.data)
-        if cfg.labeler_weight != 1.0:
-            lab = nn.scale(lab, cfg.labeler_weight)
-        total = nn.add(total, lab)
+        total = nn.add(total, nn.scale(lab, cfg.labeler_weight))
     parts["total"] = float(total.data)
     return total, parts
 
@@ -213,6 +216,10 @@ def train(model: LhrModel, train_tb: Treebank, cfg: TrainConfig,
     cfg.validate()
     if not train_tb.sentences:
         raise InvalidInputError("training treebank is empty")
+    for sentence in train_tb.sentences:  # a bad sentence stops the run before its first step
+        _gold_heads(sentence)
+        if cfg.labeler_weight > 0:
+            _gold_label_pos(model, sentence)
     rng = np.random.default_rng(cfg.seed)
     params = model.named_parameters()
     report = TrainReport()

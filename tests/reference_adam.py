@@ -2,7 +2,9 @@
 
 Test-only reference: each parameter's update is one numpy expression per
 line over the whole array. Its moments and step count live in `moments`,
-keyed by parameter. `nn.adam_step` must leave the same bytes.
+keyed by parameter. `nn.adam_step` must leave the same bytes in the moments
+and weights within 1e-10 of these: it folds both bias corrections into two
+scalars, which moves the last bits of the weights.
 """
 
 from __future__ import annotations

@@ -280,7 +280,7 @@ class RefModel:
         context, heads = self.encode_sentence(sentence, training, rng)
         total = self.reconstruction_loss(sentence, context, heads, cfg)
         parts = {"reconstruction": float(total.data)}
-        if cfg.use_labeler and cfg.labeler_weight > 0:
+        if cfg.labeler_weight > 0:
             lab = self.labeler_loss(sentence, context)
             parts["labeler"] = float(lab.data)
             if cfg.labeler_weight != 1.0:

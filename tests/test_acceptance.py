@@ -269,7 +269,7 @@ def directional_runs(toy_train, toy_dev):
                 labeler_hidden=32)
     out = {}
     for key, extra in (("with", {}),
-                       ("without", {"use_labeler": False}),
+                       ("without", {"labeler_weight": 0.0}),
                        ("skip", {"skip_punct_heads": True})):
         model = tiny_model(toy_train, seed=0, **dims)
         train(model, toy_train, TrainConfig(epochs=30, seed=0, **extra),

@@ -92,6 +92,16 @@ def test_different_seed_changes_the_checkpoint(tmp_path):
     assert sha256(a) != sha256(b)
 
 
+def test_train_without_quiet_logs_one_line_per_epoch(tmp_path, capsys):
+    args = train_args(tmp_path / "m.npz")
+    args.remove("--quiet")
+    assert main(args) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.partition(":")[0] for line in lines] == ["epoch 1", "epoch 2"]
+    assert all(re.fullmatch(r"epoch \d: loss \d+\.\d{4}  dev UAS \d\.\d{4}  LAS \d\.\d{4}", line)
+               for line in lines)
+
+
 def test_curve_has_one_row_per_epoch(tmp_path):
     model = tmp_path / "m.npz"
     curve = tmp_path / "curve.tsv"
@@ -169,6 +179,20 @@ def test_eval_tree_length_mismatch_names_the_gold_sentence(tmp_path, capsys):
     short.write_text("".join(lines[:5] + lines[6:]), encoding="utf-8")  # drops token 6
     assert main(["eval", "--gold", DEV, "--pred", str(short)]) == 1
     assert f"error: {DEV}:1: tree has 5 tokens, sentence has 6" in capsys.readouterr().err
+
+
+def test_eval_tree_length_mismatch_names_the_predicted_sentence(tmp_path, capsys):
+    lines = Path(DEV).read_text(encoding="utf-8").splitlines(keepends=True)
+    short = tmp_path / "short.conllu"
+    short.write_text("".join(lines[:5] + lines[6:]), encoding="utf-8")  # drops token 6
+    assert main(["eval", "--gold", DEV, "--pred", str(short)]) == 1
+    assert capsys.readouterr().err == (f"error: {DEV}:1: tree has 5 tokens, sentence has 6; "
+                                       f"the tree is {short}:1\n")
+
+
+def test_eval_punct_labels_replace_the_punctuation_labels(capsys):
+    assert main(["eval", "--gold", DEV, "--pred", DEV, "--punct-labels", "det"]) == 0
+    assert "(38 tokens, 10 sentences)" in capsys.readouterr().out  # 52 under the defaults
 
 
 def test_train_on_an_unlabeled_token_names_its_sentence(tmp_path, capsys):
@@ -431,7 +455,7 @@ def test_config_keys_of_renamed_dests_reach_the_configs(tmp_path, monkeypatch, k
     assert main(["train", "--train", TRAIN, "--model", str(model), *FAST,
                  "--config", str(cfg)]) == 0
     assert serialize.load_model(str(model)).config.encoder.alpha_word_dropout == 0.5
-    assert [(t.use_labeler, t.shuffle) for t in seen] == [(False, False)]
+    assert [(t.labeler_weight, t.shuffle) for t in seen] == [(0.0, False)]
 
 
 def test_every_config_field_is_the_dest_of_one_train_flag():
@@ -440,6 +464,18 @@ def test_every_config_field_is_the_dest_of_one_train_flag():
     fields = [f.name for cls in (EncoderConfig, ModelConfig, TrainConfig)
               for f in dataclasses.fields(cls) if f.name != "encoder"]
     assert {name: dests.count(name) for name in fields} == {name: 1 for name in fields}
+    # every other dest is read by cmd_train itself, so a new flag must be listed here
+    command_level = {"train", "dev", "model", "format", "config", "min_count", "curve",
+                     "quiet", "punct_pos", "punct_labels", "no_labeler", "help"}
+    assert set(dests) - set(fields) == command_level
+
+
+def test_config_file_that_cannot_be_read_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["train", "--train", TRAIN, "--model", str(tmp_path / "m.npz"),
+                 "--config", str(missing)]) == 2
+    assert f"error: cannot read config file {missing}: " in capsys.readouterr().err
+    assert not (tmp_path / "m.npz").exists()
 
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):

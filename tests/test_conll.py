@@ -93,6 +93,22 @@ def test_write_predictions_round_trip_heads(tmp_path):
     assert [t.gold_label for t in back.sentences[0].tokens] == ["root", "dep"]
 
 
+def test_tokens_built_in_code_are_written_from_their_fields(tmp_path):
+    tb = Treebank([Sentence(tokens=[
+        Token(index=1, form="dog", gold_pos="NOUN", predicted_pos="NN",
+              gold_head=2, gold_label="nsubj"),
+        Token(index=2, form="barks", gold_pos="VERB", predicted_pos=None,
+              gold_head=None, gold_label=None),
+    ])])
+    out = tmp_path / "built.conllu"
+    write_conll(tb, None, str(out))
+    assert out.read_text(encoding="utf-8") == ("1\tdog\t_\tNOUN\tNN\t_\t2\tnsubj\t_\t_\n"
+                                               "2\tbarks\t_\tVERB\t_\t_\t_\t_\t_\t_\n\n")
+    back = read_conll(str(out), strict=False).sentences[0].tokens
+    assert [(t.form, t.gold_pos, t.predicted_pos, t.gold_head, t.gold_label) for t in back] == \
+        [("dog", "NOUN", "NN", 2, "nsubj"), ("barks", "VERB", None, None, None)]
+
+
 def test_write_empty_treebank(tmp_path):
     out = tmp_path / "empty.conllu"
     write_conll(Treebank([]), None, str(out))

@@ -389,6 +389,17 @@ def test_binary_reader_rejects_bad_magic(tmp_path):
         export.read_lss_binary(str(path))
 
 
+@pytest.mark.parametrize("keep", [0, -1], ids=["empty", "last-line-cut"])
+def test_text_reader_rejects_truncation(model, bank, tmp_path, keep):
+    path = tmp_path / "v.lss"
+    export.export_lss(model, bank, str(path), fmt="text")
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    cut = tmp_path / "cut.lss"
+    cut.write_text("".join(lines[:keep]), encoding="utf-8")
+    with pytest.raises(DataFormatError, match=f"^{cut}: truncated latent-structure file$"):
+        export.read_lss_text(str(cut))
+
+
 def test_binary_reader_rejects_truncation(model, bank, tmp_path):
     path = tmp_path / "v.bin"
     export.export_lss(model, bank, str(path), fmt="binary")

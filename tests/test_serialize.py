@@ -314,6 +314,19 @@ def test_dropped_parameter_raises(model, tmp_path):
         serialize.load_model(str(dst))
 
 
+def test_parameter_the_configuration_does_not_declare_raises(model, tmp_path):
+    src = tmp_path / "m.npz"
+    dst = tmp_path / "extra.npz"
+    serialize.save_model(model, str(src))
+    with np.load(str(src), allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays["param/stray"] = np.zeros(3)
+    np.savez(str(dst), **arrays)
+    with pytest.raises(CheckpointError, match=r"do not match the configuration "
+                                              r"\(unexpected \['stray'\]\)"):
+        serialize.load_model(str(dst))
+
+
 def test_shape_mismatch_raises(model, tmp_path):
     src = tmp_path / "m.npz"
     dst = tmp_path / "reshaped.npz"

@@ -143,7 +143,7 @@ def test_unknown_label_names_sentence_and_token(toy):
 
 def test_single_sentence_overfits_reconstruction(toy):
     model = tiny_model(toy)
-    cfg = TrainConfig(use_labeler=False, lr=0.01)
+    cfg = TrainConfig(labeler_weight=0.0, lr=0.01)
     s = three_token_sentence()
     rng = np.random.default_rng(0)
     params = model.named_parameters()
@@ -177,11 +177,11 @@ def test_root_vector_learns_only_from_labeler(toy):
     model = tiny_model(toy)
     s = three_token_sentence()
 
-    total, _ = sentence_loss(model, s, TrainConfig(use_labeler=False))
+    total, _ = sentence_loss(model, s, TrainConfig(labeler_weight=0.0))
     total.backward()
     assert np.all(model.root_vector.grad == 0.0)
 
-    total, _ = sentence_loss(model, s, TrainConfig(use_labeler=True))
+    total, _ = sentence_loss(model, s, TrainConfig())
     total.backward()
     assert np.any(model.root_vector.grad != 0.0)
     for _, p in model.named_parameters():
@@ -193,13 +193,13 @@ def test_rebalanced_targets_change_gradients(toy):
     s = three_token_sentence()
     probe = dict(model.named_parameters())["context_encoder.forward.w_input"]
 
-    total, _ = sentence_loss(model, s, TrainConfig(use_labeler=False))
+    total, _ = sentence_loss(model, s, TrainConfig(labeler_weight=0.0))
     total.backward()
     plain = probe.grad.copy()
     for _, p in model.named_parameters():
         p.grad[...] = 0.0
 
-    total, _ = sentence_loss(model, s, TrainConfig(use_labeler=False,
+    total, _ = sentence_loss(model, s, TrainConfig(labeler_weight=0.0,
                                                    rebalance_targets=True))
     total.backward()
     rebalanced = probe.grad.copy()
@@ -214,7 +214,7 @@ def test_rebalanced_targets_change_gradients(toy):
     (TrainConfig(loss="mae"), three_token_sentence()),
     (TrainConfig(rebalance_targets=True), three_token_sentence()),
     (TrainConfig(root_target="self"), three_token_sentence()),
-    (TrainConfig(use_labeler=False), three_token_sentence()),
+    (TrainConfig(labeler_weight=0.0), three_token_sentence()),
     (TrainConfig(skip_punct_heads=True, rebalance_targets=True, root_target="self"),
      punct_sentence()),
 ], ids=["default", "mae", "rebalance", "self-root", "recon-only", "skip-punct"])
@@ -348,6 +348,28 @@ def test_empty_treebank_rejected(toy):
     model = tiny_model(toy)
     with pytest.raises(InvalidInputError):
         train(model, Treebank([]), TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("column, problem", [("gold_label", "has no arc label"),
+                                             ("gold_head", "has no gold head")],
+                         ids=["unlabeled", "headless"])
+def test_train_checks_every_sentence_before_its_first_step(toy, monkeypatch, column, problem):
+    bad = three_token_sentence()
+    bad.origin = "train.conllu:40"
+    setattr(bad.tokens[2], column, None)
+    tb = Treebank(toy.sentences + [bad])
+    model = tiny_model(tb)
+    before = [p.data.copy() for _, p in model.named_parameters()]
+    steps, adam_step = [], nn.adam_step
+    monkeypatch.setattr(nn, "adam_step", lambda *a, **k: steps.append(1) or adam_step(*a, **k))
+    with pytest.raises(InvalidInputError,
+                       match=rf"^train.conllu:40: token 3 \('charlie'\) {problem}"):
+        train(model, tb, TrainConfig(epochs=1, shuffle=False))
+    assert steps == []
+    assert all(np.array_equal(b, p.data) for b, (_, p) in zip(before, model.named_parameters()))
+    if column == "gold_label":  # only the labeler reads labels
+        train(model, tb, TrainConfig(epochs=1, labeler_weight=0.0, shuffle=False))
+        assert len(steps) == len(tb.sentences)
 
 
 def test_non_finite_gradient_fails_loudly(toy):
