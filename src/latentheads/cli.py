@@ -25,19 +25,17 @@ from .tokens import MODES, EncoderConfig
 from .trainer import LOSSES, ROOT_TARGETS, TrainConfig, train
 
 
-def _punct_rule(args) -> PunctuationRule | None:
-    rule = PunctuationRule()
-    if args.punct_pos is not None:
-        rule.pos_tags = frozenset(t for t in args.punct_pos.split(",") if t)
-    if args.punct_labels is not None:
-        rule.labels = frozenset(t for t in args.punct_labels.split(",") if t)
-    return rule
+def _tag_set(value: str) -> frozenset:
+    """The non-empty comma-separated names of `value`; "" is the empty set."""
+    return frozenset(t for t in value.split(",") if t)
 
 
 def _add_punct_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--punct-pos", metavar="TAGS",
+    p.add_argument("--punct-pos", metavar="TAGS", type=_tag_set,
+                   default=PunctuationRule.pos_tags,
                    help="comma-separated POS tags treated as punctuation")
-    p.add_argument("--punct-labels", metavar="LABELS",
+    p.add_argument("--punct-labels", metavar="LABELS", type=_tag_set,
+                   default=PunctuationRule.labels,
                    help="comma-separated arc labels treated as punctuation")
 
 
@@ -183,7 +181,7 @@ def cmd_train(args) -> int:
         raise UsageError(f"--model {args.model} and --curve {args.curve} are one file")
     curve = output_file(args.curve) if args.curve else nullcontext()
     with output_file(args.model, binary=True) as model_out, curve as curve_out:
-        punct = _punct_rule(args)
+        punct = PunctuationRule(args.punct_labels, args.punct_pos)
         train_tb = read_conll(args.train, fmt=args.format, punct=punct)
         dev_tb = read_conll(args.dev, fmt=args.format, punct=punct) if args.dev else None
         word_vocab, pos_vocab, label_vocab, seen_pairs = build_vocabularies(
@@ -222,7 +220,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    punct = _punct_rule(args)
+    punct = PunctuationRule(args.punct_labels, args.punct_pos)
     gold = read_conll(args.gold, fmt=args.format, punct=punct)
     pred = read_conll(args.pred, fmt=args.format, strict=False)
     if len(pred.sentences) != len(gold.sentences):

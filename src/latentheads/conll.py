@@ -27,7 +27,7 @@ DEFAULT_PUNCT_LABELS = frozenset({"punct"})
 UNKNOWN = "<unk>"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PunctuationRule:
     """A token is punctuation iff its label or POS tag is in these sets."""
 
@@ -282,12 +282,10 @@ def _parse_block(lines: list[tuple[int, str]], comments: list[str], fmt: str,
 
 
 def read_conll(path: str, fmt: str = "conllu", strict: bool = True,
-               punct: PunctuationRule | None = None) -> Treebank:
+               punct: PunctuationRule = PunctuationRule()) -> Treebank:
     """Read a treebank; `strict` additionally checks single-rooted acyclicity."""
     if fmt not in FORMATS:
         raise InvalidInputError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    if punct is None:
-        punct = PunctuationRule()
     sentences: list[Sentence] = []
     block: list[tuple[int, str]] = []
     comments: list[str] = []

@@ -56,15 +56,14 @@ def _normalized_rows(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_scores(enc: EncodedSentence, root_vector) -> ScoreMatrix:
+def build_scores(enc: EncodedSentence, root_vector: np.ndarray) -> ScoreMatrix:
     """All pairwise latent-head/context similarities plus root similarities."""
     if len(enc) < 1:
         raise InvalidInputError("cannot score an empty sentence")
     h = _normalized_rows(enc.latent_heads.data)
     c = _normalized_rows(enc.context_vectors.data)
-    root = root_vector.data if isinstance(root_vector, nn.Tensor) else np.asarray(root_vector)
-    root_norm = np.linalg.norm(root)
-    root_unit = root / root_norm if root_norm >= 1e-12 else np.zeros_like(root)
+    root_norm = np.linalg.norm(root_vector)
+    root_unit = root_vector / root_norm if root_norm >= 1e-12 else np.zeros_like(root_vector)
     sim, root_sim = h @ c.T, h @ root_unit
     np.clip(sim, -1.0, 1.0, out=sim)  # in place: one n x n matrix, not two
     np.clip(root_sim, -1.0, 1.0, out=root_sim)
@@ -148,8 +147,8 @@ def parse(model: LhrModel, sentence: Sentence, pos_correction: bool = True) -> D
     """Full pipeline: encode, score, pick root, assign heads, repair, label;
     without pos_correction a token keeps its externally predicted tag, if any."""
     with nn.no_grad():
-        enc = model.encode_sentence(sentence, training=False)
-        tree = assign_labels_pos(model, enc, decode(build_scores(enc, model.root_vector)))
+        enc = model.encode_sentence(sentence)
+        tree = assign_labels_pos(model, enc, decode(build_scores(enc, model.root_vector.data)))
     if not pos_correction:
         tree.pos = [pos if tok.predicted_pos is None else tok.predicted_pos
                     for tok, pos in zip(sentence.tokens, tree.pos, strict=True)]

@@ -148,11 +148,12 @@ def write_lss_binary(model: LhrModel, tb: Treebank, path) -> None:
         for k, sent in enumerate(tb.sentences):
             rows = sentence_vectors(model, sent)
             fh.write(struct.pack("<II", len(rows), rows[0][1].shape[0]))
-            for j, (form, vec) in enumerate(rows):
+            for tok, (form, vec) in zip(sent.tokens, rows):
                 raw = form.encode("utf-8")
                 if len(raw) > 0xFFFF:
                     raise InvalidInputError(
-                        f"sentence {k} token {j}: form is {len(raw)} UTF-8 bytes, "
+                        f"{sent.origin or f'sentence {k}'}: token {tok.index}: form is "
+                        f"{len(raw)} UTF-8 bytes, "
                         "the binary latent-structure format holds at most 65535")
                 fh.write(struct.pack("<H", len(raw)) + raw + vec.astype("<f8", copy=False).tobytes())
 

@@ -93,9 +93,9 @@ class LhrModel:
     def context_size(self) -> int:
         return self.config.context_size
 
-    def encode_sentence(self, sentence: Sentence, training: bool = False,
+    def encode_sentence(self, sentence: Sentence,
                         rng: np.random.Generator | None = None) -> EncodedSentence:
-        embeddings = self.token_encoder.encode(sentence, training, rng)
+        embeddings = self.token_encoder.encode(sentence, rng)
         context_vectors = self.context_encoder.encode(embeddings)
         latent_heads = self.head_reducer(self.heads_encoder.encode(context_vectors))
         return EncodedSentence(context_vectors, latent_heads)
@@ -130,5 +130,6 @@ class LhrModel:
         """Row i is [c_i; h_i], for downstream consumers."""
         return np.hstack((enc.context_vectors.data, enc.latent_heads.data))
 
-    def named_parameters(self) -> list[tuple[str, nn.Parameter]]:
-        return list(self.params.named)
+    def named_parameters(self) -> nn.Parameters:
+        """The model's one parameter set; iterating it yields (name, Parameter) pairs."""
+        return self.params

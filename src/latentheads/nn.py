@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -350,8 +350,9 @@ class Stack:
 class Parameters:
     """A model's weights, each declared once by name; creation order is checkpoint order.
 
-    `array` is the only place a weight is drawn: "glorot" for an (out, in)
-    matrix, "uniform" in +-0.05, "zeros" or "ones". A loader overrides it.
+    Iterating the set yields its (name, Parameter) pairs in that order. `array`
+    is the only place a weight is drawn: "glorot" for an (out, in) matrix,
+    "uniform" in +-0.05, "zeros" or "ones". A loader overrides it.
 
     Training state lives in `arena`, a (4, size) array whose rows hold the
     weights, their gradients and Adam's two moments. The first gradient read
@@ -367,6 +368,9 @@ class Parameters:
         self.stacks: list[Stack] = []
         self.arena: np.ndarray | None = None
         self.steps = 0
+
+    def __iter__(self) -> Iterator[tuple[str, Parameter]]:
+        return iter(self.named)
 
     def array(self, name: str, shape: tuple, init: str) -> np.ndarray:
         if init in ("glorot", "uniform"):
@@ -546,17 +550,16 @@ class LstmCell:
             row *= slope[t]
             dc = dc * f[t]
             dh = row @ w_h
-        owner = self.w_input.owner
-        owner.ensure_arena()
+        self.params.ensure_arena()
         xh = np.hstack((x, h_prev))
         dw, db = self.stacks[0].grad.T, self.stacks[1].grad  # dw is C-order: [X+H, 4H]
-        if self._written == owner.steps:
+        if self._written == self.params.steps:
             dw += xh.T @ dz
             db += dz.sum(axis=0)
         else:  # this step's first write: the stack's gradient is still zero
             np.matmul(xh.T, dz, out=dw)
             np.sum(dz, axis=0, out=db)
-            self._written = owner.steps
+            self._written = self.params.steps
         return dz @ self.weight[:, :self.input_size] if need_dx else None
 
 
@@ -605,39 +608,33 @@ _PIECE = 1 << 14  # elements per Adam piece: a piece of each arena row stays in 
 _GRAD_LIMIT = math.sqrt(np.finfo(np.float64).max)  # about 1.34e154
 
 
-def adam_step(params: Iterable, lr: float = 0.001) -> None:
-    """One Adam update with bias correction; gradients are reset to zero.
+def adam_step(params: Parameters, lr: float = 0.001) -> None:
+    """One Adam update of the set `params`, with bias correction; gradients are reset to zero.
 
-    `params` yields (name, Parameter) pairs, every member of each set they
-    belong to. A non-finite gradient, or a finite entry whose square
-    overflows (above _GRAD_LIMIT), fails the whole step, naming the first
-    parameter that holds one, before any value changes. Each set's arena is
-    then updated in pieces of _PIECE elements, so a piece of each of its
-    four rows stays in cache. Kingma & Ba's folded form (arXiv:1412.6980, after
-    Algorithm 1) puts both bias corrections in `step` and `eps`: one division.
+    A non-finite gradient, or a finite entry whose square overflows (above
+    _GRAD_LIMIT), fails the whole step, naming the first parameter that holds
+    one, before any value changes. The arena is then updated in pieces of
+    _PIECE elements, so a piece of each of its four rows stays in cache.
+    Kingma & Ba's folded form (arXiv:1412.6980, after Algorithm 1) puts both
+    bias corrections in `step` and `eps`: one division.
     """
-    items = list(params)
-    owners = list(dict.fromkeys(p.owner for _, p in items))
-    if len(items) != sum(len(owner.named) for owner in owners):
-        raise UsageError("adam_step updates whole parameter sets: pass every member of each")
-    arenas = [owner.ensure_arena() for owner in owners]
+    arena = params.ensure_arena()
     with np.errstate(over="ignore", invalid="ignore"):  # one BLAS pass, no bool array
-        finite = all(math.isfinite(arena[1] @ arena[1]) for arena in arenas)
-    for name, p in [] if finite else items:  # a finite g @ g bounds every entry's square
+        finite = math.isfinite(arena[1] @ arena[1])
+    for name, p in () if finite else params:  # a finite g @ g bounds every entry's square
         if not np.all(np.abs(p.grad) <= _GRAD_LIMIT):  # NaN fails the comparison too
             if not np.all(np.isfinite(p.grad)):
                 raise NonFiniteError(f"non-finite gradient in parameter {name!r}")
             raise NonFiniteError(f"gradient entry too large in parameter {name!r}: "
                                  f"above {_GRAD_LIMIT:.4g} its square overflows")
-    for owner, arena in zip(owners, arenas):
-        t = owner.steps = owner.steps + 1
-        v_root = math.sqrt(1.0 - ADAM_BETA2 ** t)
-        step, eps = lr * v_root / (1.0 - ADAM_BETA1 ** t), ADAM_EPSILON * v_root
-        for start in range(0, arena.shape[1], _PIECE):
-            data, grad, m, v = arena[:, start:start + _PIECE]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * grad
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (grad * grad)
-            data -= step * m / (np.sqrt(v) + eps)
-            grad[...] = 0.0
+    t = params.steps = params.steps + 1
+    v_root = math.sqrt(1.0 - ADAM_BETA2 ** t)
+    step, eps = lr * v_root / (1.0 - ADAM_BETA1 ** t), ADAM_EPSILON * v_root
+    for start in range(0, arena.shape[1], _PIECE):
+        data, grad, m, v = arena[:, start:start + _PIECE]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (grad * grad)
+        data -= step * m / (np.sqrt(v) + eps)
+        grad[...] = 0.0

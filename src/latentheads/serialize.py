@@ -39,6 +39,8 @@ def _is_str_list(value) -> bool:
 def _vocab_from_meta(meta: dict, path: str, name: str) -> Vocabulary:
     if not _is_str_list(meta["symbols"]):
         raise CheckpointError(f"{path} meta field '{name}.symbols' is not a list of strings")
+    if meta["unknown"] is None and name != "label_vocab":  # unseen words and tags map to it
+        raise CheckpointError(f"{path} meta field '{name}.unknown' is null")
     return Vocabulary(meta["symbols"], counts=meta["counts"],
                       min_count=meta["min_count"], unknown=meta["unknown"])
 
@@ -145,6 +147,12 @@ def load_model(path: str) -> LhrModel:
             and all(_is_str_list(p) and len(p) == 2 for p in seen_pairs)):
         raise CheckpointError(f"{path} meta field 'seen_pairs' is not a list of "
                               "[label, pos] string pairs")
+    if not seen_pairs:
+        raise CheckpointError(f"{path} meta field 'seen_pairs' is empty")
+    for _, pos in seen_pairs:
+        if pos not in vocabs[1]:
+            raise CheckpointError(f"{path} meta field 'seen_pairs' has POS {pos!r}, "
+                                  "which 'pos_vocab' lacks")
     # handed over, not shared: each array is freed once its module has taken it
     source = _Archive(path, {name[len("param/"):]: arrays.pop(name)
                              for name in list(arrays) if name.startswith("param/")})

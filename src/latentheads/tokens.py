@@ -3,7 +3,8 @@
 Baseline mode concatenates word and POS-tag embeddings; the alternative
 replaces the POS part with a character-level summary of the word. During
 training, word vectors are swapped for the unknown vector with probability
-alpha / (count + alpha), so rare words train the unknown representation.
+alpha / (count + alpha), so rare words train the unknown representation;
+that word dropout runs iff the encoder is given a random generator.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .conll import Sentence, Vocabulary
-from .errors import ConfigurationError, InvalidInputError, UsageError
+from .errors import ConfigurationError, InvalidInputError
 
 MODES = ("word+pos", "word+char")
 
@@ -66,15 +67,15 @@ class EmbeddingTable:
 class CharEncoder:
     """Fixed-size word summary from a character-level bidirectional pass."""
 
-    def __init__(self, char_vocab: Vocabulary, cfg: EncoderConfig, out_dim: int,
-                 params: nn.Parameters, prefix: str = ""):
+    def __init__(self, char_vocab: Vocabulary, cfg: EncoderConfig, params: nn.Parameters,
+                 prefix: str = ""):
         self.char_table = EmbeddingTable(char_vocab, cfg.char_dim, params, prefix + "chars.")
         self.char_birnn = nn.BiEncoder(cfg.char_dim, cfg.char_hidden, params, prefix + "birnn.")
-        self.projection = nn.DenseLayer(2 * cfg.char_hidden, out_dim, "identity", params,
+        self.projection = nn.DenseLayer(2 * cfg.char_hidden, cfg.pos_dim, "identity", params,
                                         prefix + "projection.")
 
     def encode(self, words) -> nn.Tensor:
-        """(n, out_dim): the final states of each word's pass, projected in one call."""
+        """(n, pos_dim): the final states of each word's pass, projected in one call."""
         h = self.char_birnn.hidden_size
         states = [self.char_birnn.encode(self.char_table.lookup(word)) for word in words]
         finals = [nn.concat((s[-1:, :h], s[:1, h:])) for s in states]
@@ -106,31 +107,27 @@ class TokenEncoder:
         if config.mode == "word+pos":
             self.pos_table = EmbeddingTable(pos_vocab, config.pos_dim, params, prefix + "pos.")
         else:
-            self.char_encoder = CharEncoder(char_vocab_from_words(word_vocab),
-                                            config, config.pos_dim, params, prefix + "char.")
+            self.char_encoder = CharEncoder(char_vocab_from_words(word_vocab), config, params,
+                                            prefix + "char.")
 
     @property
     def output_size(self) -> int:
         return self.config.word_dim + self.config.pos_dim
 
-    def _word_indices(self, sentence: Sentence, training: bool,
-                      rng: np.random.Generator | None) -> list[int]:
-        if training and rng is None:
-            raise UsageError("training-time encoding needs a random generator for dropout")
+    def _word_indices(self, sentence: Sentence, rng: np.random.Generator | None) -> list[int]:
         indices = []
         for tok in sentence.tokens:
             key = tok.form.lower()
             index = self.word_vocab.index_of(key)
-            if training:
+            if rng is not None:
                 p = drop_probability(self.word_vocab.count(key), self.config.alpha_word_dropout)
                 if p > 0.0 and rng.random() < p:
                     index = self.word_vocab.unknown_index
             indices.append(index)
         return indices
 
-    def encode(self, sentence: Sentence, training: bool = False,
-               rng: np.random.Generator | None = None) -> nn.Tensor:
-        """The (n, output_size) embedding matrix, one row per token."""
+    def encode(self, sentence: Sentence, rng: np.random.Generator | None = None) -> nn.Tensor:
+        """The (n, output_size) embedding matrix, one row per token; `rng` drives word dropout."""
         if not sentence.tokens:
             raise InvalidInputError("cannot encode an empty sentence")
         empty = [tok for tok in sentence.tokens if not tok.form] if self.char_encoder else ()
@@ -138,7 +135,7 @@ class TokenEncoder:
             where = f"{sentence.origin}: " if sentence.origin else ""
             raise InvalidInputError(f"{where}token {empty[0].index} has an empty form, "
                                     "which the word+char encoder cannot read")
-        words = self.word_table.vectors[np.array(self._word_indices(sentence, training, rng))]
+        words = self.word_table.vectors[np.array(self._word_indices(sentence, rng))]
         if self.pos_table is not None:
             other = self.pos_table.lookup([tok.predicted_pos for tok in sentence.tokens])
         else:

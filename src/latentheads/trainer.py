@@ -154,10 +154,10 @@ def labeler_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentence) -> n
 
 
 def sentence_loss(model: LhrModel, sentence: Sentence, cfg: TrainConfig,
-                  training: bool = False, rng: np.random.Generator | None = None,
+                  rng: np.random.Generator | None = None,
                   target_overrides=None) -> tuple[nn.Tensor, dict]:
-    """Scalar loss for one sentence plus a float breakdown by component."""
-    enc = model.encode_sentence(sentence, training=training, rng=rng)
+    """Scalar loss for one sentence plus a float breakdown; `rng` drives word dropout."""
+    enc = model.encode_sentence(sentence, rng)
     recon = reconstruction_loss(model, sentence, enc, cfg, target_overrides)
     parts = {"reconstruction": float(recon.data)}
     total = recon
@@ -170,12 +170,12 @@ def sentence_loss(model: LhrModel, sentence: Sentence, cfg: TrainConfig,
 
 
 def train_sentence(model: LhrModel, sentence: Sentence, cfg: TrainConfig,
-                   rng: np.random.Generator, params) -> dict:
+                   rng: np.random.Generator, params: nn.Parameters) -> dict:
     """One gradient step on one sentence; returns the loss breakdown.
 
-    `params` is the model's named_parameters(), taken once per run.
+    `params` is the model's parameter set, named_parameters().
     """
-    total, parts = sentence_loss(model, sentence, cfg, training=True, rng=rng)
+    total, parts = sentence_loss(model, sentence, cfg, rng)
     if total.needs_grad:
         total.backward()
         nn.adam_step(params, lr=cfg.lr)

@@ -400,7 +400,7 @@ def test_export_lss_binary_rejects_overlong_form(trained, tmp_path, capsys):
                  "--output", str(tmp_path / "out.bin"), "--lss-format", "binary"])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: sentence 0 token 0: form is 70000 UTF-8 bytes")
+    assert err.startswith(f"error: {src}:{first + 1}: token 1: form is 70000 UTF-8 bytes")
     assert "Traceback" not in err
 
 

@@ -444,9 +444,7 @@ def test_punctuation_by_pos_alone(tmp_path):
 
 
 def test_custom_punctuation_rule(tmp_path):
-    rule = PunctuationRule()
-    rule.labels = frozenset()
-    rule.pos_tags = frozenset({"SYM"})
+    rule = PunctuationRule(labels=frozenset(), pos_tags=frozenset({"SYM"}))
     text = (
         "1\t$\t_\tSYM\tSYM\t_\t2\tdep\t_\t_\n"
         "2\tx\t_\tPUNCT\tPUNCT\t_\t0\troot\t_\t_\n"

@@ -172,7 +172,7 @@ def test_the_exported_structure_decodes_to_the_parse(fmt, tmp_path):
     for sentence, rows in zip(tb.sentences, payload):
         lhr = np.stack([vec for _, vec in rows])
         enc = EncodedSentence(nn.Tensor(lhr[:, :size]), nn.Tensor(lhr[:, size:]))
-        scores = decoder.build_scores(enc, model.root_vector)
+        scores = decoder.build_scores(enc, model.root_vector.data)
         tree = decoder.decode(scores)
         parsed = decoder.parse(model, sentence)
         assert tree.heads == parsed.heads
@@ -220,7 +220,7 @@ def test_binary_writer_rejects_form_over_65535_bytes(model, bank, tmp_path):
     try:
         tok.form = "é" * 40000  # 80000 UTF-8 bytes
         with pytest.raises(InvalidInputError,
-                           match=f"^sentence {k} token {j}: form is 80000 UTF-8 bytes"):
+                           match=f"^sentence {k}: token {j + 1}: form is 80000 UTF-8 bytes"):
             export.export_lss(model, bank, str(tmp_path / "long.bin"), fmt="binary")
         tok.form = "x" * 65535  # the longest form the record layout holds
         export.export_lss(model, bank, str(tmp_path / "edge.bin"), fmt="binary")
@@ -236,7 +236,7 @@ def test_binary_writer_failure_leaves_no_partial_file(model, bank, tmp_path):
     kept = tmp_path / "kept.bin"
     kept.write_bytes(b"earlier output")
     for path in (fresh, kept):
-        with pytest.raises(InvalidInputError, match="^sentence 2 token 0: form is 70000"):
+        with pytest.raises(InvalidInputError, match="^sentence 2: token 1: form is 70000"):
             export.export_lss(model, tb, str(path), fmt="binary")
     assert not fresh.exists()
     assert kept.read_bytes() == b"earlier output"

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import latentheads
+from latentheads import errors
 
 SOURCES = sorted(Path(latentheads.__file__).parent.glob("*.py"))
 
@@ -106,6 +107,33 @@ def test_only_the_output_helper_opens_an_output():
     assert [hit.partition(": ")[2] for hit in _writes_around_the_helper(probe, "x.py")] == [
         "io.open", "open", "open", "os.open", "np.save", "np.savez",
         "os.access", "os.replace", "os.rename", "os.chmod"]
+
+
+def _raises_outside_the_hierarchy(source: str, name: str) -> list[str]:
+    """`raise` statements in `source` other than a bare re-raise or one of a class
+    of errors.py, OSError or PermissionError: cli.main turns only those, and
+    MemoryError, into an exit code, so any other exception ends in a traceback."""
+    allowed = {cls for cls, _ in inspect.getmembers(errors, inspect.isclass)}
+    allowed |= {"OSError", "PermissionError"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if (getattr(exc, "id", None) or getattr(exc, "attr", None)) not in allowed:
+                found.append(f"{name}:{node.lineno}: {ast.unparse(node.exc)}")
+    return found
+
+
+def test_every_raise_is_a_package_error_or_an_os_error():
+    found = [hit for path in SOURCES
+             for hit in _raises_outside_the_hierarchy(path.read_text(encoding="utf-8"),
+                                                      path.name)]
+    assert found == []
+    probe = ("raise\nraise UsageError('x') from None\nraise errors.CheckpointError('x')\n"
+             "raise OSError(2, 'x', p)\nraise PermissionError(13, 'x', p)\n"
+             "raise ValueError('x')\nraise KeyError\nraise exc\nraise RuntimeError() from exc\n")
+    assert [hit.partition(": ")[2] for hit in _raises_outside_the_hierarchy(probe, "x.py")] == [
+        "ValueError('x')", "KeyError", "exc", "RuntimeError()"]
 
 
 PROBE = """from hypothesis import given, strategies as st

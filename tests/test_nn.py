@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -376,14 +377,14 @@ def test_finite_differences_perturb_a_strided_parameter_where_it_is_read():
 def test_adam_zero_gradient_leaves_values():
     p = nn.Parameter(np.array([1.0, -2.0]))
     before = p.data.copy()
-    nn.adam_step([("p", p)])
+    nn.adam_step(p.owner)
     assert np.array_equal(p.data, before)
 
 
 def test_adam_first_step_size_is_learning_rate():
     p = nn.Parameter(np.array([5.0]))
     p.grad[...] = 1.0
-    nn.adam_step([("p", p)], lr=0.001)
+    nn.adam_step(p.owner, lr=0.001)
     assert abs((5.0 - p.data[0]) - 0.001) < 1e-6
     assert p.owner.steps == 1
     assert np.array_equal(p.grad, np.zeros(1))
@@ -401,7 +402,7 @@ def test_adam_moments_are_zero_until_the_first_step():
     p.grad[...] = 2.0
     _, _, m, v = p.owner.arena
     assert not m.any() and not v.any()
-    nn.adam_step([("p", p)])
+    nn.adam_step(p.owner)
     assert np.allclose(m, [0.2]) and np.allclose(v, [0.004])
 
 
@@ -410,7 +411,7 @@ def test_adam_descends_on_quadratic():
     values = [1.0]
     for _ in range(10):
         p.grad[...] = 2.0 * p.data
-        nn.adam_step([("p", p)], lr=0.05)
+        nn.adam_step(p.owner, lr=0.05)
         values.append(float(p.data[0]))
     assert all(b < a for a, b in zip(values, values[1:]))
     assert 0.0 < values[-1] < 1.0
@@ -448,17 +449,16 @@ def _char_model_steps(seed: int):
     cfg, rng = trainer.TrainConfig(), np.random.default_rng(seed)
     for step in range(30):
         sentence = bank.sentences[step % len(bank.sentences)]
-        trainer.sentence_loss(model, sentence, cfg, training=True, rng=rng)[0].backward()
+        trainer.sentence_loss(model, sentence, cfg, rng)[0].backward()
         yield
 
 
 def _random_grads(seed: int):
     params = _adam_params(0)
-    named = params.named
-    yield named
+    yield params
     rng = np.random.default_rng(seed)
     for step in range(30):
-        for _, p in named:
+        for _, p in params:
             p.grad[...] = rng.standard_normal(p.data.shape) * (step % 3)
         yield
 
@@ -468,7 +468,7 @@ def test_folded_adam_in_pieces_matches_the_textbook_update_within_1e_10():
     for steps in (_random_grads, _char_model_steps):
         ref_steps, new_steps = steps(1), steps(1)
         ref, new = next(ref_steps), next(new_steps)
-        sizes.append(new[0][1].owner.ensure_arena().shape[1])
+        sizes.append(new.ensure_arena().shape[1])
         moments = {}
         for _ in zip(ref_steps, new_steps):
             reference_adam.adam_step(ref, 0.01, moments)
@@ -482,25 +482,24 @@ def test_folded_adam_in_pieces_matches_the_textbook_update_within_1e_10():
                 else:  # the char model's gradients follow its weights
                     assert_close(y, x, name)
             assert t == 30 and not b.grad.any()
-        assert new[0][1].owner.steps == 30
+        assert new.steps == 30
     assert any(size > nn._PIECE and size % nn._PIECE for size in sizes)  # a last short piece
 
 
 def test_adam_in_pieces_names_the_first_non_finite_gradient_and_changes_nothing():
     arena_set = _adam_params(0)
-    named = arena_set.named
-    params = dict(named)
+    params = dict(arena_set)
     rng = np.random.default_rng(2)
-    for _, p in named:
+    for _, p in arena_set:
         p.grad[...] = rng.standard_normal(p.data.shape)
-    nn.adam_step(named)
-    for _, p in named:
+    nn.adam_step(arena_set)
+    for _, p in arena_set:
         p.grad[...] = rng.standard_normal(p.data.shape)
     params["big.w_forget"].grad[-1, -1] = np.inf  # in the last column of a column-major stack
     params["small.w_candidate"].grad[0, 0] = np.nan
     before = arena_set.arena.tobytes()
     with pytest.raises(NonFiniteError, match="parameter 'big.w_forget'"):
-        nn.adam_step(named)
+        nn.adam_step(arena_set)
     assert arena_set.arena.tobytes() == before
     assert arena_set.steps == 1
 
@@ -520,13 +519,13 @@ def test_adam_steps_on_finite_gradients_whose_squared_sum_overflows(big):
         before = new_set.ensure_arena().tobytes()
         with pytest.raises(NonFiniteError, match="^gradient entry too large in parameter "
                                                  f"'{new[0][0]}': above 1.341e\\+154"):
-            nn.adam_step(new, lr=0.01)
+            nn.adam_step(new_set, lr=0.01)
         assert new_set.arena.tobytes() == before and new_set.steps == 0
         return
     moments = {}
     with np.errstate(over="ignore"):
         reference_adam.adam_step(ref, 0.01, moments)
-        nn.adam_step(new, lr=0.01)
+        nn.adam_step(new_set, lr=0.01)
     for (name, a), (_, b) in zip(ref, new):
         m, v, _ = moments[a]
         assert_close(b.data, a.data, name)
@@ -538,7 +537,7 @@ def test_adam_steps_on_finite_gradients_whose_squared_sum_overflows(big):
     dict(new)["small.w_output"].grad[1, 1] = np.nan
     before = new_set.arena.tobytes()
     with pytest.raises(NonFiniteError, match="^non-finite gradient in parameter 'small.w_output'$"):
-        nn.adam_step(new)
+        nn.adam_step(new_set)
     assert new_set.arena.tobytes() == before and new_set.steps == 1
 
 
@@ -566,7 +565,7 @@ def test_folded_adam_at_step_counts_where_the_bias_corrections_are_edge_cases(st
         for (_, a), (_, b) in zip(ref, new):
             a.grad[...] = b.grad[...] = draw(a.data.shape)
         reference_adam.adam_step(ref, 0.01, moments)
-        nn.adam_step(new, lr=0.01)
+        nn.adam_step(new_set, lr=0.01)
         for (name, a), (_, b) in zip(ref, new):
             m, v, _ = moments[a]
             for x, y in ((m, _arena_row(b, 2)), (v, _arena_row(b, 3))):
@@ -580,11 +579,9 @@ def test_folded_adam_at_step_counts_where_the_bias_corrections_are_edge_cases(st
 
 def test_adam_takes_whole_sets_and_the_arena_takes_no_late_declaration():
     params = nn.Parameters(np.random.default_rng(0))
-    a = params.new("a", (2,), "uniform")
+    params.new("a", (2,), "uniform")
     params.new("b", (3,), "uniform")
-    with pytest.raises(UsageError, match="whole parameter sets"):
-        nn.adam_step([("a", a)])
-    nn.adam_step(params.named)
+    nn.adam_step(params)
     with pytest.raises(UsageError, match="'c' declared after training built the arena"):
         params.new("c", (1,), "zeros")
 
@@ -596,15 +593,16 @@ def test_a_parameter_whose_set_was_freed_says_so():
 
 
 def test_adam_rejects_non_finite_gradient_without_mutating():
-    p = nn.Parameter(np.array([1.0, 2.0]))
-    q = nn.Parameter(np.array([3.0]))
+    params = nn.Parameters(None)
+    p = params.new("p", (2,), "ones")
+    q = params.new("q", (1,), "zeros")
     p.grad[...] = [1.0, np.nan]
     q.grad[...] = 1.0
-    with pytest.raises(NonFiniteError):
-        nn.adam_step([("p", p), ("q", q)])
-    assert np.array_equal(p.data, [1.0, 2.0])
-    assert np.array_equal(q.data, [3.0])
-    assert q.owner.steps == 0
+    with pytest.raises(NonFiniteError, match="parameter 'p'"):
+        nn.adam_step(params)
+    assert np.array_equal(p.data, [1.0, 1.0])
+    assert np.array_equal(q.data, [0.0])
+    assert params.steps == 0
 
 
 # --------------------------------------------------------------------- losses
@@ -721,6 +719,32 @@ def test_row_losses_are_means_of_one_row_losses():
         rows = [float(loss(tensor([s]), [g]).data) for s, g in zip(scores, gold)]
         whole = float(loss(tensor(scores), gold).data)
         assert whole == pytest.approx(sum(rows) / 4, rel=1e-14)
+
+
+# ------------------------------------------------------------------- guards
+
+def _best_pairs_without_seen_pairs():
+    model = tiny_model(make_treebank(1, np.random.default_rng(0)))
+    model.seen_pairs = []
+    model.best_pairs(tensor(np.zeros((1, model.context_size))), [0])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: tensor(1.0).backward(), UsageError, "backward() without a recorded forward pass"),
+    (lambda: nn.add(tensor([1.0, 2.0]), tensor([1.0])), ConfigurationError,
+     "add: shape mismatch (2,) vs (1,)"),
+    (lambda: nn.mse_loss(tensor([1.0, 2.0]), [1.0]), InvalidInputError,
+     "mse_loss: length mismatch (2,) vs (1,)"),
+    (lambda: nn.margin_loss(tensor([[0.0, 1.0, 2.0]]), [3]), InvalidInputError,
+     "gold index out of range for 3 classes"),
+    (lambda: nn.LstmCell(2, 0, nn.Parameters(None)), ConfigurationError,
+     "LstmCell sizes must be positive"),
+    (_best_pairs_without_seen_pairs, ConfigurationError, "no (label, POS) pairs to choose from"),
+], ids=["backward-unrecorded", "add-shapes", "loss-lengths", "gold-range", "lstm-size",
+        "no-seen-pairs"])
+def test_each_guard_raises_its_error_with_its_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ----------------------------------------------------------------- properties

@@ -222,6 +222,14 @@ def test_meta_config_must_name_exactly_the_config_fields(model, tmp_path, where,
      "alpha_word_dropout must be finite"),
     (lambda meta: meta["seen_pairs"].append(["nolabel", meta["seen_pairs"][0][1]]),
      "symbol 'nolabel' not in vocabulary"),
+    # well-typed metas that would fail only at parse time, or not at all
+    (lambda meta: meta["word_vocab"].update(unknown=None,  # <unk> keeps its row as a word
+                                            counts={**meta["word_vocab"]["counts"], "<unk>": 1}),
+     "field 'word_vocab.unknown' is null"),
+    (lambda meta: meta["pos_vocab"].update(unknown=None), "field 'pos_vocab.unknown' is null"),
+    (lambda meta: meta.update(seen_pairs=[]), "field 'seen_pairs' is empty"),
+    (lambda meta: meta.update(seen_pairs=[[label, "ZZZ"] for label, _ in meta["seen_pairs"]]),
+     "field 'seen_pairs' has POS 'ZZZ', which 'pos_vocab' lacks"),
     # sizes the archive does not hold fail at the first parameter they change
     (lambda meta: meta["config"].update(context_hidden=1000000),
      "parameter 'context_encoder.forward.w_input' has shape"),
@@ -229,7 +237,9 @@ def test_meta_config_must_name_exactly_the_config_fields(model, tmp_path, where,
      "parameter 'labeler.shared.weights' has shape"),
 ], ids=["meta-list", "int-as-str", "int-as-float", "counts-as-str", "bool-as-str",
         "pair-too-short", "pair-too-long", "pair-of-list", "symbols-as-ints",
-        "zero-hidden", "nan-alpha", "pair-label-unknown", "huge-context-hidden", "huge-labeler-hidden"])
+        "zero-hidden", "nan-alpha", "pair-label-unknown", "word-unknown-null",
+        "pos-unknown-null", "no-seen-pairs", "pair-pos-unknown", "huge-context-hidden",
+        "huge-labeler-hidden"])
 def test_meta_values_of_the_wrong_type_raise(model, tmp_path, mutate, message):
     src = tmp_path / "m.npz"
     dst = tmp_path / "typed.npz"

@@ -8,7 +8,7 @@ import pytest
 
 from latentheads import decoder, nn, trainer
 from latentheads.conll import Sentence, Token, Vocabulary, read_conll
-from latentheads.errors import ConfigurationError, InvalidInputError, UsageError
+from latentheads.errors import ConfigurationError, InvalidInputError
 from latentheads.tokens import (CharEncoder, EncoderConfig, TokenEncoder,
                                 char_vocab_from_words, drop_probability)
 
@@ -64,8 +64,8 @@ def test_drop_probability_rejects_negative_count():
 def test_inference_encoding_is_deterministic():
     enc = encoder()
     s = sent([("the", "DET"), ("dog", "NOUN")])
-    a = enc.encode(s, training=False)
-    b = enc.encode(s, training=False)
+    a = enc.encode(s)
+    b = enc.encode(s)
     for va, vb in zip(a, b):
         assert np.array_equal(va.data, vb.data)
 
@@ -73,15 +73,15 @@ def test_inference_encoding_is_deterministic():
 def test_unknown_word_uses_unknown_row():
     enc = encoder()
     s = sent([("zyzzyva", "NOUN")])
-    out = enc.encode(s, training=False)[0]
+    out = enc.encode(s)[0]
     unk = enc.word_table.vectors[enc.word_table.unknown_index]
     assert np.array_equal(out.data[:5], unk.data)
 
 
 def test_lookup_is_case_insensitive():
     enc = encoder()
-    a = enc.encode(sent([("The", "DET")]), training=False)[0]
-    b = enc.encode(sent([("the", "DET")]), training=False)[0]
+    a = enc.encode(sent([("The", "DET")]))[0]
+    b = enc.encode(sent([("the", "DET")]))[0]
     assert np.array_equal(a.data, b.data)
 
 
@@ -91,8 +91,8 @@ def test_pos_feature_comes_from_predicted_tag():
     s1.tokens[0].predicted_pos = "VERB"
     s1.tokens[0].gold_pos = "NOUN"
     s2 = sent([("dog", "VERB")])
-    a = enc.encode(s1, training=False)[0]
-    b = enc.encode(s2, training=False)[0]
+    a = enc.encode(s1)[0]
+    b = enc.encode(s2)[0]
     assert np.array_equal(a.data, b.data)
 
 
@@ -100,7 +100,7 @@ def test_missing_predicted_tag_uses_unknown_pos_row():
     enc = encoder()
     s = sent([("dog", "NOUN")])
     s.tokens[0].predicted_pos = None
-    out = enc.encode(s, training=False)[0]
+    out = enc.encode(s)[0]
     unk_pos = enc.pos_table.vectors[enc.pos_table.unknown_index]
     assert np.array_equal(out.data[5:], unk_pos.data)
 
@@ -108,20 +108,14 @@ def test_missing_predicted_tag_uses_unknown_pos_row():
 def test_output_size_and_shape():
     enc = encoder()
     assert enc.output_size == 8
-    out = enc.encode(sent([("the", "DET"), ("dog", "NOUN")]), training=False)
+    out = enc.encode(sent([("the", "DET"), ("dog", "NOUN")]))
     assert len(out) == 2 and all(v.data.shape == (8,) for v in out)
 
 
 def test_empty_sentence_rejected():
     enc = encoder()
     with pytest.raises(InvalidInputError):
-        enc.encode(Sentence(tokens=[]), training=False)
-
-
-def test_training_without_rng_is_an_error():
-    enc = encoder()
-    with pytest.raises(UsageError):
-        enc.encode(sent([("the", "DET")]), training=True)
+        enc.encode(Sentence(tokens=[]))
 
 
 def test_word_dropout_replaces_rare_words_sometimes():
@@ -131,7 +125,7 @@ def test_word_dropout_replaces_rare_words_sometimes():
     rng = np.random.default_rng(123)
     dropped = 0
     for _ in range(400):
-        out = enc.encode(s, training=True, rng=rng)[0]
+        out = enc.encode(s, rng=rng)[0]
         if np.array_equal(out.data[:5], unk):
             dropped += 1
     assert 40 < dropped < 160  # expectation 80, generous bounds
@@ -141,7 +135,7 @@ def test_word_dropout_never_fires_at_inference():
     enc = encoder()
     s = sent([("barks", "VERB")])
     unk = enc.word_table.vectors[enc.word_table.unknown_index].data
-    out = enc.encode(s, training=False)[0]
+    out = enc.encode(s)[0]
     assert not np.array_equal(out.data[:5], unk)
 
 
@@ -151,15 +145,15 @@ def test_word_dropout_leaves_pos_part_alone():
     pos_row = enc.pos_table.lookup(["VERB"]).data[0]
     rng = np.random.default_rng(1)
     for _ in range(50):
-        out = enc.encode(s, training=True, rng=rng)[0]
+        out = enc.encode(s, rng=rng)[0]
         assert np.array_equal(out.data[5:], pos_row)
 
 
 def test_seeded_dropout_is_reproducible():
     enc = encoder()
     s = sent([("barks", "VERB"), ("dog", "NOUN"), ("barks", "VERB")])
-    a = [v.data.copy() for v in enc.encode(s, training=True, rng=np.random.default_rng(7))]
-    b = [v.data.copy() for v in enc.encode(s, training=True, rng=np.random.default_rng(7))]
+    a = [v.data.copy() for v in enc.encode(s, rng=np.random.default_rng(7))]
+    b = [v.data.copy() for v in enc.encode(s, rng=np.random.default_rng(7))]
     for va, vb in zip(a, b):
         assert np.array_equal(va, vb)
 
@@ -182,7 +176,7 @@ def test_config_validation():
 def test_char_encoder_single_character_word():
     words, _ = small_vocabs()
     cfg = EncoderConfig(char_dim=4, char_hidden=3, pos_dim=6)
-    ce = CharEncoder(char_vocab_from_words(words), cfg, out_dim=6,
+    ce = CharEncoder(char_vocab_from_words(words), cfg,
                      params=nn.Parameters(np.random.default_rng(2)))
     out = ce.encode(["a"])
     assert out.data.shape == (1, 6)
@@ -190,16 +184,16 @@ def test_char_encoder_single_character_word():
 
 def test_char_encoder_deterministic():
     words, _ = small_vocabs()
-    cfg = EncoderConfig(char_dim=4, char_hidden=3)
-    ce = CharEncoder(char_vocab_from_words(words), cfg, out_dim=5,
+    cfg = EncoderConfig(char_dim=4, char_hidden=3, pos_dim=5)
+    ce = CharEncoder(char_vocab_from_words(words), cfg,
                      params=nn.Parameters(np.random.default_rng(2)))
     assert np.array_equal(ce.encode(["dog"]).data, ce.encode(["dog"]).data)
 
 
 def test_char_encoder_is_order_sensitive():
     words = Vocabulary(["cat", "act"], counts={"cat": 2, "act": 2})
-    cfg = EncoderConfig(char_dim=4, char_hidden=3)
-    ce = CharEncoder(char_vocab_from_words(words), cfg, out_dim=5,
+    cfg = EncoderConfig(char_dim=4, char_hidden=3, pos_dim=5)
+    ce = CharEncoder(char_vocab_from_words(words), cfg,
                      params=nn.Parameters(np.random.default_rng(3)))
     assert not np.allclose(ce.encode(["cat"]).data, ce.encode(["act"]).data)
 
@@ -207,7 +201,7 @@ def test_char_encoder_is_order_sensitive():
 def test_word_char_mode_output_size_matches_word_pos():
     enc = encoder(mode="word+char")
     assert enc.output_size == 8  # word 5 + char projection 3 (pos_dim)
-    out = enc.encode(sent([("dog", "NOUN")]), training=False)[0]
+    out = enc.encode(sent([("dog", "NOUN")]))[0]
     assert out.data.shape == (8,)
 
 

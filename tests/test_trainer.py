@@ -304,7 +304,7 @@ def test_tape_size_does_not_grow_with_sentence_length(toy, cfg):
     rng = np.random.default_rng(12)
     sizes = [tape_nodes(sentence_loss(model, make_sentence(n, rng), cfg)[0]) for n in (3, 30)]
     assert sizes[0] == sizes[1]
-    assert sizes[0] < 2 * len(model.named_parameters())
+    assert sizes[0] < 2 * len(list(model.named_parameters()))
 
 
 def test_training_reduces_average_loss(toy):
