@@ -11,6 +11,7 @@ from __future__ import annotations
 import errno
 import io
 import os
+import sys
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -38,7 +39,7 @@ class PunctuationRule:
         return (gold_label in self.labels) or (gold_pos in self.pos_tags)
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     index: int                      # 1-based position in the sentence
     form: str
@@ -47,7 +48,7 @@ class Token:
     gold_head: int | None           # 0 = virtual root; None only in permissive mode
     gold_label: str | None
     is_punct: bool = False
-    columns: tuple = ()             # raw source columns, for faithful writing
+    line: str = ""                  # the source line of a read token, for faithful writing
 
 
 @dataclass
@@ -55,6 +56,7 @@ class Sentence:
     tokens: list[Token]
     comments: list[str] = field(default_factory=list)
     origin: str = field(default="", compare=False)  # "path:line" of a read sentence
+    kept_lines: tuple = ()  # (word tokens before it, line) of each CoNLL-U range or empty node
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -233,6 +235,7 @@ def output_file(path, binary: bool = False):
 def _parse_block(lines: list[tuple[int, str]], comments: list[str], fmt: str,
                  path: str, strict: bool, punct: PunctuationRule) -> Sentence:
     tokens: list[Token] = []
+    kept: list[tuple[int, str]] = []
     for lineno, line in lines:
         cols = line.split("\t")
         if len(cols) != 10:
@@ -241,7 +244,8 @@ def _parse_block(lines: list[tuple[int, str]], comments: list[str], fmt: str,
             raise DataFormatError(f"{path}:{lineno}: column {cols.index('') + 1} is empty")
         tid = cols[0]
         if fmt == "conllu" and ("-" in tid or "." in tid):
-            continue  # multiword ranges and empty nodes carry no tree structure
+            kept.append((len(tokens), line))  # no tree structure, but written back in place
+            continue
         try:
             index = int(tid)
         except ValueError:
@@ -256,9 +260,10 @@ def _parse_block(lines: list[tuple[int, str]], comments: list[str], fmt: str,
                 head = int(head_col)
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: bad head {head_col!r}") from None
-        label = cols[7] if cols[7] != "_" else None
-        predicted = cols[4] if cols[4] != "_" else None
-        gold_pos = cols[3]
+        # each distinct tag is one object, however many tokens carry it
+        label = sys.intern(cols[7]) if cols[7] != "_" else None
+        predicted = sys.intern(cols[4]) if cols[4] != "_" else None
+        gold_pos = sys.intern(cols[3])
         tokens.append(Token(
             index=index,
             form=cols[1],
@@ -267,7 +272,7 @@ def _parse_block(lines: list[tuple[int, str]], comments: list[str], fmt: str,
             gold_head=head,
             gold_label=label,
             is_punct=punct.matches(label, gold_pos),
-            columns=tuple(cols),
+            line=line,
         ))
     where = f"{path}: sentence ending at line {lines[-1][0]}"
     if not tokens:
@@ -278,7 +283,8 @@ def _parse_block(lines: list[tuple[int, str]], comments: list[str], fmt: str,
     problem = tree_problem([tok.gold_head for tok in tokens], whole=strict)
     if problem is not None:
         raise DataFormatError(f"{where}: {problem}")
-    return Sentence(tokens=tokens, comments=comments, origin=f"{path}:{lines[0][0]}")
+    return Sentence(tokens=tokens, comments=comments, origin=f"{path}:{lines[0][0]}",
+                    kept_lines=tuple(kept))
 
 
 def read_conll(path: str, fmt: str = "conllu", strict: bool = True,
@@ -304,7 +310,7 @@ def read_conll(path: str, fmt: str = "conllu", strict: bool = True,
 
 
 def _token_line(tok: Token, head: int | None, label: str | None, pos: str | None) -> str:
-    cols = list(tok.columns) if tok.columns else [
+    cols = tok.line.split("\t") if tok.line else [
         str(tok.index), tok.form, "_", tok.gold_pos,
         tok.predicted_pos or "_", "_",
         "_" if tok.gold_head is None else str(tok.gold_head),
@@ -323,7 +329,8 @@ def write_conll(tb: Treebank, trees, path) -> None:
     """Write the treebank, substituting predicted head/label/POS when given.
 
     `trees` is a list aligned 1:1 with tb.sentences (each entry exposing
-    `heads`, `labels` and `pos` arrays), or None for a faithful copy.
+    `heads`, `labels` and `pos` arrays), or None for a faithful copy. A read
+    sentence's multiword ranges and empty nodes are written back verbatim.
     `path` may also be an open text stream.
     """
     if trees is not None and len(trees) != len(tb.sentences):
@@ -336,8 +343,10 @@ def write_conll(tb: Treebank, trees, path) -> None:
             if any(len(column) != n for column in columns):
                 raise InvalidInputError(f"sentence {si}: {len(tree.heads)} heads, {len(tree.labels)} "
                                         f"labels and {len(tree.pos)} POS tags for {n} tokens")
-            lines = [*sent.comments, *map(_token_line, sent.tokens, *columns), ""]
-            f.write("\n".join(lines) + "\n")
+            lines = list(map(_token_line, sent.tokens, *columns))
+            for before, line in reversed(sent.kept_lines):
+                lines.insert(before, line)
+            f.write("\n".join([*sent.comments, *lines, ""]) + "\n")
 
 
 def build_vocabularies(tb: Treebank, min_count: int = 1):

@@ -80,8 +80,9 @@ class Tensor:
     def backward(self) -> None:
         """Propagate d(self)/d(param) into every reachable Parameter's grad.
 
-        The loss must be a scalar produced by a recorded forward pass. The
-        tape is released afterwards (closures dropped, graph edges cut), so a
+        The loss must be a scalar produced by a recorded forward pass. Each
+        node is released as soon as its closure has run (closure, graph edges
+        and gradient dropped, so a BiLSTM's caches go with its BPTT), and a
         second backward on the same graph raises.
         """
         if self.data.size != 1:
@@ -105,13 +106,10 @@ class Tensor:
                              if p.needs_grad and id(p) not in visited)
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        for node in reversed(topo):  # its consumers have all run, so nothing reads it again
             if node._bw is not None:
                 node._bw(node.grad)
-        for node in topo:
-            if node._bw is not None:
-                node._bw = None
-                node._parents = ()
+                node._bw, node._parents = None, ()
                 if node is not self:
                     node.grad = None
         self._released = True

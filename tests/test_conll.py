@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import re
 import stat
 import threading
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -219,6 +221,63 @@ def test_multiword_and_empty_ids_skipped_in_conllu(tmp_path):
     )
     tb = read_conll(write_file(tmp_path, text))
     assert [t.form for t in tb.sentences[0].tokens] == ["do", "not"]
+
+
+def test_multiword_ranges_and_empty_nodes_are_written_back_in_place(tmp_path):
+    words = Path(fixture_path("toy_dev.conllu")).read_text(encoding="utf-8").split("\n\n")[0]
+    words = words.splitlines()
+    multiword = "1-2\tvamonos\t_\t_\t_\t_\t_\t_\t_\t_"
+    empty = "2.1\tnos\t_\tPRON\tPRON\t_\t_\t_\t_\t_"
+    last = "6.1\tya\t_\tADV\tADV\t_\t_\t_\t_\t_"
+    text = "\n".join(["# text = vamonos", multiword, *words[:2], empty, *words[2:], last]) + "\n\n"
+    tb = read_conll(write_file(tmp_path, text))
+    assert [t.index for t in tb.sentences[0].tokens] == [1, 2, 3, 4, 5, 6]
+    out = tmp_path / "out.conllu"
+    write_conll(tb, None, str(out))
+    assert out.read_text(encoding="utf-8") == text
+
+    tree = SimpleNamespace(heads=[0, 1, 1, 3, 3, 1], labels=["root"] + ["dep"] * 5, pos=["X"] * 6)
+
+    def predicted(line, head, label, pos):
+        cols = line.split("\t")
+        cols[3], cols[6], cols[7] = pos, str(head), label
+        return "\t".join(cols)
+
+    rows = list(map(predicted, words, tree.heads, tree.labels, tree.pos))
+    write_conll(tb, [tree], str(out))
+    assert out.read_text(encoding="utf-8").splitlines() == \
+        ["# text = vamonos", multiword, *rows[:2], empty, *rows[2:], last, ""]
+
+
+def test_a_read_token_keeps_at_most_320_bytes(tmp_path):
+    """What a read treebank holds, per token, by tracemalloc's count."""
+    rng = np.random.default_rng(29)
+    forms = ["".join(rng.choice(list("bdgklmnprstaeiou"), int(rng.integers(2, 9))))
+             for _ in range(800)]
+    tags = ["NOUN", "VERB", "ADJ", "ADV", "DET", "ADP", "PRON", "PUNCT"]
+    labels = ["nsubj", "obj", "obl", "amod", "advmod", "det", "case", "punct"]
+    blocks, n_tokens = [], 0
+    while n_tokens < 5000:
+        n = int(rng.integers(5, 61))
+        rows = []
+        for i in range(1, n + 1):
+            head = 0 if i == 1 else int(rng.integers(1, i))
+            tag = tags[int(rng.integers(len(tags)))]
+            label = "root" if i == 1 else labels[int(rng.integers(len(labels)))]
+            rows.append(f"{i}\t{forms[int(rng.integers(len(forms)))]}\t_\t{tag}\t{tag}\t_"
+                        f"\t{head}\t{label}\t_\t_")
+        blocks.append("\n".join(rows) + "\n")
+        n_tokens += n
+    path = write_file(tmp_path, "\n".join(blocks))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tb = read_conll(path)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, tb.sentences)) == n_tokens
+    assert retained / n_tokens <= 320
 
 
 def test_block_of_only_multiword_ranges_reports_its_line(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -329,6 +330,32 @@ def test_backward_twice_is_an_error():
     loss.backward()
     with pytest.raises(UsageError):
         loss.backward()
+
+
+def test_backward_frees_each_node_once_its_closure_has_run():
+    class Cache:  # stands for the arrays a BiLSTM node's closure keeps for its BPTT
+        pass
+
+    def consumer_of(x):
+        cache = Cache()
+
+        def bw(g, cache=cache):  # the node's closure is all that holds the cache
+            nn._acc(x, np.full(2, 3.0 * g), own=True)
+
+        return nn._record(np.asarray((x.data * 3.0).sum()), (x,), bw), weakref.ref(cache)
+
+    def middle_bw(g):
+        seen.append((cache_alive(), consumer._bw))
+        nn._acc(w, 2.0 * g, own=True)
+
+    w = nn.Parameter(np.array([0.5, -1.5]))
+    seen = []
+    middle = nn._record(w.data * 2.0, (w,), middle_bw)
+    consumer, cache_alive = consumer_of(middle)
+    nn.scale(consumer, 0.5).backward()
+    assert seen == [(None, None)]
+    assert middle.grad is None and consumer.grad is None and middle._parents == ()
+    assert np.array_equal(w.grad, [3.0, 3.0])
 
 
 def test_no_grad_builds_no_tape():
