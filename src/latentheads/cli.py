@@ -79,11 +79,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                     help="word dropout strength alpha/(count+alpha)")
     tr.add_argument("--min-count", type=int, default=1,
                     help="words rarer than this map to the unknown embedding")
-    tr.add_argument("--no-labeler", action="store_true",
-                    help="train the reconstruction objective alone (--labeler-weight 0)")
-    tr.add_argument("--labeler-weight", type=float, default=TrainConfig.labeler_weight)
+    tr.add_argument("--labeler-weight", type=float, default=TrainConfig.labeler_weight,
+                    help="weight of the labeler loss; 0 trains the reconstruction alone")
     tr.add_argument("--labeler-softmax", action="store_true",
-                    help="cross-entropy classifier outputs instead of hinge")
+                    help="train the labeler by cross-entropy on its scores instead of hinge")
     tr.add_argument("--root-target", choices=ROOT_TARGETS, default=TrainConfig.root_target,
                     help="reconstruction target for root-governed tokens")
     tr.add_argument("--rebalance-targets", action="store_true",
@@ -191,8 +190,7 @@ def cmd_train(args) -> int:
                                   "the labeler needs labeled trees")
         cfg = _from_args(ModelConfig, args, encoder=_from_args(EncoderConfig, args))
         model = LhrModel(word_vocab, pos_vocab, label_vocab, seen_pairs, cfg, seed=args.seed)
-        tcfg = _from_args(TrainConfig, args,
-                          labeler_weight=0.0 if args.no_labeler else args.labeler_weight)
+        tcfg = _from_args(TrainConfig, args)
         log = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
         report = train(model, train_tb, tcfg, dev_tb=dev_tb, log=log)
         serialize.save_model(model, model_out)

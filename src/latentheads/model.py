@@ -26,7 +26,7 @@ class ModelConfig:
     context_hidden: int = 200    # per direction; |c| is twice this
     heads_hidden: int = 200      # per direction, reduced back to |c|
     labeler_hidden: int = 100
-    labeler_softmax: bool = False  # True for the cross-entropy variant
+    labeler_softmax: bool = False  # train the labeler by cross-entropy, not hinge, on its scores
 
     def validate(self) -> None:
         self.encoder.validate()
@@ -77,14 +77,13 @@ class LhrModel:
         self.head_reducer = nn.DenseLayer(
             self.heads_encoder.output_size, config.context_size, "tanh", params, "head_reducer.")
         self.root_vector = params.new("root_vector", (config.context_size,), "uniform")
-        # the labeler: two classifier outputs sharing one hidden layer
-        out_act = "softmax" if config.labeler_softmax else "identity"
+        # the labeler: two raw-score outputs sharing one hidden layer
         self.labeler_shared = nn.DenseLayer(
             2 * config.context_size, config.labeler_hidden, "tanh", params, "labeler.shared.")
         self.labeler_label = nn.DenseLayer(
-            config.labeler_hidden, len(label_vocab), out_act, params, "labeler.label.")
+            config.labeler_hidden, len(label_vocab), "identity", params, "labeler.label.")
         self.labeler_pos = nn.DenseLayer(
-            config.labeler_hidden, len(pos_vocab), out_act, params, "labeler.pos.")
+            config.labeler_hidden, len(pos_vocab), "identity", params, "labeler.pos.")
         # label and POS row of each seen pair, for the joint argmax of best_pairs
         self._pair_rows = np.array([(label_vocab.index_of(l), pos_vocab.index_of(p))
                                     for l, p in self.seen_pairs], dtype=int).reshape(-1, 2)
@@ -116,7 +115,12 @@ class LhrModel:
         return self.labeler_label(hidden), self.labeler_pos(hidden)
 
     def best_pairs(self, context_vectors: nn.Tensor, heads) -> list[tuple[str, str]]:
-        """Per arc heads[i] -> token i+1, the seen (label, POS) pair scoring highest."""
+        """Per arc heads[i] -> token i+1, the seen (label, POS) pair scoring highest.
+
+        A pair scores its label score plus its POS score. For a labeler trained
+        by cross-entropy that ranks pairs by joint log-probability: an arc's two
+        softmax normalisers are the same for all its pairs.
+        """
         if not self.seen_pairs:
             raise ConfigurationError("no (label, POS) pairs to choose from")
         with nn.no_grad():

@@ -81,9 +81,9 @@ class Tensor:
         """Propagate d(self)/d(param) into every reachable Parameter's grad.
 
         The loss must be a scalar produced by a recorded forward pass. Each
-        node is released as soon as its closure has run (closure, graph edges
-        and gradient dropped, so a BiLSTM's caches go with its BPTT), and a
-        second backward on the same graph raises.
+        node leaves the walk and is released as soon as its closure has run
+        (closure, graph edges and gradient dropped, so its data and a BiLSTM's
+        caches go with it), and a second backward on the same graph raises.
         """
         if self.data.size != 1:
             raise UsageError(f"backward() expects a scalar loss, got shape {self.shape}")
@@ -106,7 +106,8 @@ class Tensor:
                              if p.needs_grad and id(p) not in visited)
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):  # its consumers have all run, so nothing reads it again
+        while topo:  # popped: once its consumers have run, nothing reads the node again
+            node = topo.pop()
             if node._bw is not None:
                 node._bw(node.grad)
                 node._bw, node._parents = None, ()
@@ -224,18 +225,6 @@ def tanh(x: Tensor) -> Tensor:
     return _record(t, (x,), bw)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis (each row of a matrix separately)."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        _acc(x, p * (g - (g * p).sum(axis=-1, keepdims=True)), own=True)
-
-    return _record(p, (x,), bw)
-
-
 def scale(x: Tensor, factor: float) -> Tensor:
     def bw(g):
         _acc(x, g * factor, own=True)
@@ -313,22 +302,28 @@ def margin_loss(scores: Tensor, gold) -> Tensor:
     return _record(np.asarray(margins[active].sum() / n), (scores,), bw)
 
 
-def nll_loss(probs: Tensor, gold) -> Tensor:
-    """Negative log of the gold probability, row mean (pair with a softmax).
+def cross_entropy_loss(scores: Tensor, gold) -> Tensor:
+    """Negative log-softmax of the gold score, row mean.
 
-    `probs` is an (n, k) matrix of distributions with one gold index per row.
+    `scores` is an (n, k) matrix of raw scores with one gold index per row.
+    The log-softmax is taken of the row-max-shifted scores, so the loss keeps
+    growing linearly however far the gold score trails; a row's gradient is
+    its softmax minus the gold one-hot.
     """
-    p, gold = _gold_rows(probs, gold, "nll_loss")
-    n = p.shape[0]
+    s, gold = _gold_rows(scores, gold, "cross_entropy_loss")
+    n = s.shape[0]
     rows = np.arange(n)
-    pg = np.maximum(p[rows, gold], 1e-30)
+    shifted = s - s.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    z = e.sum(axis=1)
 
     def bw(out_grad):
-        g = np.zeros_like(p)
-        g[rows, gold] = -out_grad / (n * pg)
-        _acc(probs, g, own=True)
+        g = e / z[:, None]
+        g[rows, gold] -= 1.0
+        g *= out_grad / n
+        _acc(scores, g, own=True)
 
-    return _record(np.asarray(-np.log(pg).sum() / n), (probs,), bw)
+    return _record(np.asarray((np.log(z) - shifted[rows, gold]).sum() / n), (scores,), bw)
 
 
 class Stack:
@@ -418,7 +413,7 @@ class Parameters:
         return self.arena
 
 
-_ACTIVATIONS = ("tanh", "softmax", "identity")
+_ACTIVATIONS = ("tanh", "identity")
 
 
 class DenseLayer:
@@ -441,11 +436,7 @@ class DenseLayer:
             raise ConfigurationError(
                 f"DenseLayer expects an (n, {self.in_size}) matrix, got {x.shape}")
         z = linear(x, self.weights, self.bias)
-        if self.activation == "tanh":
-            return tanh(z)
-        if self.activation == "softmax":
-            return softmax(z)
-        return z
+        return tanh(z) if self.activation == "tanh" else z
 
     __call__ = forward
 

@@ -125,8 +125,8 @@ def _gold_label_pos(model: LhrModel, sentence: Sentence) -> tuple[list[int], lis
     for tok in sentence.tokens:
         if tok.gold_label is None:
             raise InvalidInputError(
-                f"{where}token {tok.index} ({tok.form!r}) has no arc label; disable the "
-                "labeler or train on labeled trees")
+                f"{where}token {tok.index} ({tok.form!r}) has no arc label; set the labeler "
+                "weight to 0 or train on labeled trees")
         li = model.label_vocab.strict_index(tok.gold_label)
         if li is None:
             raise InvalidInputError(
@@ -140,16 +140,17 @@ def _gold_label_pos(model: LhrModel, sentence: Sentence) -> tuple[list[int], lis
 def labeler_loss(model: LhrModel, sentence: Sentence, enc: EncodedSentence) -> nn.Tensor:
     """Mean per-token classification loss over the gold arcs.
 
-    Hinge loss on raw scores, or negative log likelihood when the model was
-    built with softmax outputs. Governor context vectors stay live here, so
-    this loss reaches the context encoder and the root vector.
+    Hinge loss on the raw label and POS scores, or cross-entropy on the same
+    scores when the model's config sets labeler_softmax; this is the one
+    reader of that field. Governor context vectors stay live here, so this
+    loss reaches the context encoder and the root vector.
     """
     heads = _gold_heads(sentence)
     label_gold, pos_gold = _gold_label_pos(model, sentence)
     context = enc.context_vectors
     label_scores, pos_scores = model.score_label_pos(
         context, model.governor_vectors(context, heads))
-    term_loss = nn.nll_loss if model.config.labeler_softmax else nn.margin_loss
+    term_loss = nn.cross_entropy_loss if model.config.labeler_softmax else nn.margin_loss
     return nn.add(term_loss(label_scores, label_gold), term_loss(pos_scores, pos_gold))
 
 

@@ -203,7 +203,7 @@ def test_train_on_an_unlabeled_token_names_its_sentence(tmp_path, capsys):
     assert f"error: {bad}:1: token 2 ('car') has no arc label" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", [(), ("--no-labeler",)], ids=["labeler", "no-labeler"])
+@pytest.mark.parametrize("extra", [(), ("--labeler-weight", "0")], ids=["labeler", "no-labeler"])
 def test_train_on_a_treebank_without_labels_names_it(tmp_path, capsys, extra):
     lines = Path(TRAIN).read_text(encoding="utf-8").splitlines(keepends=True)
     bare = tmp_path / "bare.conllu"
@@ -438,8 +438,7 @@ def test_abbreviated_config_flag_applies_the_file(tmp_path):
     assert serialize.load_model(str(model)).config.encoder.word_dim == 8
 
 
-@pytest.mark.parametrize("keys", [("alpha", "no-labeler", "no-shuffle"),
-                                  ("alpha", "no_labeler", "no_shuffle")])
+@pytest.mark.parametrize("keys", [("alpha", "no-shuffle"), ("alpha", "no_shuffle")])
 def test_config_keys_of_renamed_dests_reach_the_configs(tmp_path, monkeypatch, keys):
     seen, real_train = [], cli.train
 
@@ -449,13 +448,13 @@ def test_config_keys_of_renamed_dests_reach_the_configs(tmp_path, monkeypatch, k
 
     monkeypatch.setattr(cli, "train", spy)
     cfg = tmp_path / "run.cfg"
-    alpha, labeler, shuffle = keys
-    cfg.write_text(f"{alpha} = 0.5\n{labeler} = yes\n{shuffle} = on\n")
+    alpha, shuffle = keys
+    cfg.write_text(f"{alpha} = 0.5\n{shuffle} = on\n")
     model = tmp_path / "m.npz"
     assert main(["train", "--train", TRAIN, "--model", str(model), *FAST,
                  "--config", str(cfg)]) == 0
     assert serialize.load_model(str(model)).config.encoder.alpha_word_dropout == 0.5
-    assert [(t.labeler_weight, t.shuffle) for t in seen] == [(0.0, False)]
+    assert [t.shuffle for t in seen] == [False]
 
 
 def test_every_config_field_is_the_dest_of_one_train_flag():
@@ -466,7 +465,7 @@ def test_every_config_field_is_the_dest_of_one_train_flag():
     assert {name: dests.count(name) for name in fields} == {name: 1 for name in fields}
     # every other dest is read by cmd_train itself, so a new flag must be listed here
     command_level = {"train", "dev", "model", "format", "config", "min_count", "curve",
-                     "quiet", "punct_pos", "punct_labels", "no_labeler", "help"}
+                     "quiet", "punct_pos", "punct_labels", "help"}
     assert set(dests) - set(fields) == command_level
 
 
@@ -485,6 +484,19 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
                  "--config", str(cfg)])
     assert code == 2
     assert "wibble" in capsys.readouterr().err
+
+
+def test_no_labeler_is_not_a_switch(tmp_path, capsys):
+    # --labeler-weight 0 is the one way to train without the labeler
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("no-labeler = yes\n")
+    model = tmp_path / "m.npz"
+    assert main(["train", "--train", TRAIN, "--model", str(model), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == ("error: config key 'no_labeler' matches no option "
+                                       "of this command\n")
+    assert main(["train", "--train", TRAIN, "--model", str(model), "--no-labeler"]) == 2
+    assert "unrecognized arguments: --no-labeler" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_config_bad_boolean_exits_2(tmp_path, capsys):

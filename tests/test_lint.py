@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import latentheads
-from latentheads import errors
+from latentheads import errors, nn
 
 SOURCES = sorted(Path(latentheads.__file__).parent.glob("*.py"))
 
@@ -134,6 +134,44 @@ def test_every_raise_is_a_package_error_or_an_os_error():
              "raise ValueError('x')\nraise KeyError\nraise exc\nraise RuntimeError() from exc\n")
     assert [hit.partition(": ")[2] for hit in _raises_outside_the_hierarchy(probe, "x.py")] == [
         "ValueError('x')", "KeyError", "exc", "RuntimeError()"]
+
+
+def _recording_ops(source: str) -> set[str]:
+    """The public functions and methods ("Class.name") of a module's `source`
+    that return through `_record`, directly or through private module-level
+    helpers that do."""
+    tree = ast.parse(source)
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    defs.update((f"{cls.name}.{fn.name}", fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                for fn in cls.body if isinstance(fn, ast.FunctionDef))
+
+    def returns_through(fn, names):
+        return any(isinstance(call, ast.Call) and getattr(call.func, "id", None) in names
+                   for ret in ast.walk(fn) if isinstance(ret, ast.Return) and ret.value
+                   for call in ast.walk(ret.value))
+
+    helpers = {"_record"}
+    while grown := {name for name, fn in defs.items()
+                    if name.startswith("_") and returns_through(fn, helpers)} - helpers:
+        helpers |= grown
+    return {name for name, fn in defs.items() if returns_through(fn, helpers)
+            and not (name.rpartition(".")[2].startswith("_") and not name.endswith("__"))}
+
+
+def test_every_recording_op_of_nn_has_a_recording_test():
+    # test_nn checks each op of RECORDING_OPS records only with grad on and a tracked input
+    from test_nn import RECORDING_OPS
+
+    source = Path(nn.__file__).read_text(encoding="utf-8")
+    assert _recording_ops(source) - {case[0] for case in RECORDING_OPS} == set()
+    probe = ("def _helper(x):\n    return _record(x, (), None)\n"
+             "def _indirect(x):\n    return _helper(x)\n"
+             "def op(x):\n    return _indirect(x)\n"
+             "def direct(x):\n    return _record(x, (), None)\n"
+             "def through_op(x):\n    return op(x)\n"
+             "class A:\n    def __getitem__(self, k):\n        return _record(k, (), None)\n"
+             "    def _private(self):\n        return _helper(1)\n")
+    assert _recording_ops(probe) == {"op", "direct", "A.__getitem__"}
 
 
 PROBE = """from hypothesis import given, strategies as st

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latentheads import nn
+from latentheads.conll import Sentence, Token, Treebank
 from latentheads.errors import ConfigurationError, InvalidInputError
 from latentheads.model import LhrModel, ModelConfig
 
@@ -27,7 +28,6 @@ def test_encode_shapes(model):
 
 
 def test_encode_empty_sentence_rejected(model):
-    from latentheads.conll import Sentence
     with pytest.raises(InvalidInputError):
         model.encode_sentence(Sentence(tokens=[]))
 
@@ -42,7 +42,6 @@ def test_inference_encoding_deterministic(model):
 
 def test_repeated_word_gets_distinct_context_vectors(model):
     # "the dog saw the cat": the two "the" tokens sit in different contexts
-    from latentheads.conll import Sentence, Token
     forms = ["alpha", "bravo", "charlie", "alpha", "delta"]
     toks = [Token(index=i + 1, form=f, gold_pos="N", predicted_pos="N",
                   gold_head=0 if i == 0 else 1, gold_label="root" if i == 0 else "mod")
@@ -80,6 +79,25 @@ def test_labeler_is_argument_order_sensitive():
     ab = m.score_label_pos(a, b)
     ba = m.score_label_pos(b, a)
     assert not np.allclose(ab[0].data, ba[0].data)
+
+
+def test_softmax_labeler_picks_the_pair_of_highest_joint_log_probability():
+    # (arg, N) has the larger summed probability, 0.9 + 0.01 against 0.1 + 0.5,
+    # but (root, V) the larger joint one, 0.05 against 0.009
+    tokens = [Token(index=1, form="alpha", gold_pos="N", predicted_pos="N",
+                    gold_head=2, gold_label="arg"),
+              Token(index=2, form="bravo", gold_pos="V", predicted_pos="V",
+                    gold_head=0, gold_label="root")]
+    m = tiny_model(Treebank([Sentence(tokens=tokens)]), labeler_softmax=True)
+    assert m.seen_pairs == [("arg", "N"), ("root", "V")]
+    for layer, vocab, probs in ((m.labeler_label, m.label_vocab, {"arg": 0.9, "root": 0.1}),
+                                (m.labeler_pos, m.pos_vocab, {"N": 0.01, "V": 0.5})):
+        layer.weights.data[...] = 0.0
+        layer.bias.data[...] = np.log(0.49)  # the POS vocabulary's unknown symbol
+        for tag, p in probs.items():
+            layer.bias.data[vocab.index_of(tag)] = np.log(p)
+    context = nn.Tensor(np.random.default_rng(6).normal(size=(2, m.context_size)))
+    assert m.best_pairs(context, [2, 0]) == [("root", "V"), ("root", "V")]
 
 
 def test_score_rejects_wrong_dimension(model):

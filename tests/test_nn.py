@@ -58,7 +58,7 @@ VECTOR_CALLS = [
     ("concat", lambda v: nn.concat([v, tensor(np.ones((1, 2)))])),
     ("concat_axis0", lambda v: nn.concat([v, tensor(np.ones((2, 3)))], axis=0)),
     ("margin_loss", lambda v: nn.margin_loss(v, 0)),
-    ("nll_loss", lambda v: nn.nll_loss(v, 0)),
+    ("cross_entropy_loss", lambda v: nn.cross_entropy_loss(v, 0)),
 ]
 
 
@@ -267,12 +267,11 @@ RECORDING_OPS = [
     ("concat", lambda a, b: nn.concat([a, b]), [(2, 3), (2, 1)]),
     ("concat_axis0", lambda a, b: nn.concat([a, b], axis=0), [(1, 3), (2, 3)]),
     ("tanh", nn.tanh, [(2, 3)]),
-    ("softmax", nn.softmax, [(2, 3)]),
     ("scale", lambda x: nn.scale(x, 0.5), [(2, 3)]),
     ("mse_loss", nn.mse_loss, [(2, 3), (2, 3)]),
     ("mae_loss", nn.mae_loss, [(2, 3), (2, 3)]),
     ("margin_loss", lambda s: nn.margin_loss(s, [0, 2]), [(2, 3)]),
-    ("nll_loss", lambda p: nn.nll_loss(p, [1, 2]), [(2, 3)]),
+    ("cross_entropy_loss", lambda s: nn.cross_entropy_loss(s, [1, 2]), [(2, 3)]),
     ("BiEncoder.encode", _encode, [(4, 3)]),
 ]
 
@@ -356,6 +355,23 @@ def test_backward_frees_each_node_once_its_closure_has_run():
     assert seen == [(None, None)]
     assert middle.grad is None and consumer.grad is None and middle._parents == ()
     assert np.array_equal(w.grad, [3.0, 3.0])
+
+
+def test_backward_frees_each_node_and_its_data_once_its_closure_has_run():
+    def first_bw(g):  # runs last, after the closure of the node built on it
+        seen.append(middle_data() is None)
+        nn._acc(w, g, own=True)
+
+    w = nn.Parameter(np.array([[0.5, -1.5]]))
+    seen = []
+    first = nn._record(w.data.copy(), (w,), first_bw)
+    middle = nn.scale(first, 2.0)  # its closure keeps `first`, not its own data
+    middle_data = weakref.ref(middle.data)
+    loss = nn.mse_loss(nn.scale(middle, 3.0), np.zeros((1, 2)))
+    del middle
+    loss.backward()
+    assert seen == [True]
+    assert np.allclose(w.grad, 36.0 * w.data)
 
 
 def test_no_grad_builds_no_tape():
@@ -676,20 +692,31 @@ def test_margin_gradient_moves_gold_up_competitor_down():
 
 
 def test_nll_matches_log():
-    probs = nn.softmax(nn.Parameter(np.array([[1.0, 2.0, 0.5]])))
-    loss = nn.nll_loss(probs, [1])
-    assert abs(float(loss.data) + math.log(probs.data[0, 1])) < 1e-12
+    scores = np.array([1.0, 2.0, 0.5])
+    loss = nn.cross_entropy_loss(tensor([scores]), [1])
+    probability = math.exp(2.0) / np.exp(scores).sum()
+    assert abs(float(loss.data) + math.log(probability)) < 1e-12
 
 
 def test_nll_gradient_matches_finite_differences():
     w = nn.Parameter(np.array([[1.0, -0.5, 0.2]]))
 
     def loss_fn():
-        return float(nn.nll_loss(nn.softmax(nn.tanh(w)), [2]).data)
+        return float(nn.cross_entropy_loss(nn.tanh(w), [2]).data)
 
-    nn.nll_loss(nn.softmax(nn.tanh(w)), [2]).backward()
+    nn.cross_entropy_loss(nn.tanh(w), [2]).backward()
     fd = fd_gradient(loss_fn, w)
     assert max_relative_error(w.grad, fd) < 1e-6
+
+
+def test_cross_entropy_keeps_its_slope_when_the_gold_score_trails_far():
+    # the log of a softmax probability would saturate here: e**-100 is far
+    # below any floor a probability can be clamped at
+    s = nn.Parameter(np.array([[100.0, 0.0, 0.0]]))
+    loss = nn.cross_entropy_loss(s, [2])
+    loss.backward()
+    assert abs(float(loss.data) - 100.0) < 1e-12
+    assert np.allclose(s.grad, [[1.0, 0.0, -1.0]], rtol=0.0, atol=1e-12)
 
 
 # --------------------------------------------------------------------- cosine
@@ -722,15 +749,15 @@ def test_matrix_chain_matches_finite_differences():
     rng = np.random.default_rng(21)
     table = nn.Parameter(rng.normal(size=(4, 3)))
     root = nn.Parameter(rng.normal(size=3))
-    layer = nn.DenseLayer(6, 5, "softmax", nn.Parameters(rng))
+    layer = nn.DenseLayer(6, 5, "identity", nn.Parameters(rng))
     index = np.array([2, 0, 2, 3, 1])  # repeated rows accumulate
 
     def forward():
         rows = table[index]
         governors = nn.concat((root[None], rows), axis=0)[np.array([0, 1, 1, 4, 2])]
-        probs = layer(nn.concat((rows, governors)))
-        return nn.add(nn.nll_loss(probs, [0, 4, 2, 2, 1]),
-                      nn.margin_loss(probs, [1, 1, 0, 3, 4]))
+        scores = layer(nn.concat((rows, governors)))
+        return nn.add(nn.cross_entropy_loss(scores, [0, 4, 2, 2, 1]),
+                      nn.margin_loss(scores, [1, 1, 0, 3, 4]))
 
     forward().backward()
     for p in (table, root, layer.weights, layer.bias):
@@ -742,7 +769,7 @@ def test_row_losses_are_means_of_one_row_losses():
     rng = np.random.default_rng(22)
     scores = rng.normal(size=(4, 3))
     gold = [0, 2, 1, 1]
-    for loss in (nn.margin_loss, nn.nll_loss):
+    for loss in (nn.margin_loss, nn.cross_entropy_loss):
         rows = [float(loss(tensor([s]), [g]).data) for s, g in zip(scores, gold)]
         whole = float(loss(tensor(scores), gold).data)
         assert whole == pytest.approx(sum(rows) / 4, rel=1e-14)
@@ -801,19 +828,10 @@ def test_margin_is_non_negative(scores, gold):
     assert float(nn.margin_loss(tensor([scores]), [gold]).data) >= 0.0
 
 
-@given(finite_vec)
-@settings(max_examples=60, deadline=None)
-def test_softmax_is_a_distribution(values):
-    out = nn.softmax(tensor(values))
-    assert np.all(out.data > 0)
-    assert abs(out.data.sum() - 1.0) < 1e-9
-
-
 @given(st.integers(min_value=1, max_value=50))
 @settings(max_examples=25, deadline=None)
 def test_elementwise_ops_preserve_shape(n):
     x = tensor(np.linspace(-2, 2, n))
     assert nn.tanh(x).data.shape == (n,)
-    assert nn.softmax(x).data.shape == (n,)
-    rows = nn.softmax(tensor(np.linspace(-2, 2, 3 * n).reshape(3, n))).data
-    assert rows.shape == (3, n) and np.allclose(rows.sum(axis=1), 1.0)
+    rows = nn.tanh(tensor(np.linspace(-2, 2, 3 * n).reshape(3, n))).data
+    assert rows.shape == (3, n)

@@ -209,7 +209,7 @@ def test_meta_config_must_name_exactly_the_config_fields(model, tmp_path, where,
     (lambda meta: meta["config"].update(context_hidden=2.5),
      "field 'context_hidden' is 2.5, expected int"),
     (lambda meta: meta["word_vocab"].update(counts="ab"), "malformed"),
-    # loading this would build a softmax labeler the weights were not trained for
+    # 'no' is truthy: the loaded config would name the other labeler loss
     (lambda meta: meta["config"].update(labeler_softmax="no"),
      "field 'labeler_softmax' is 'no', expected bool"),
     (lambda meta: meta.update(seen_pairs=[[1]]), "'seen_pairs'"),
